@@ -22,7 +22,9 @@ use bioseq::db::{partition_records, FormatDbConfig};
 use bioseq::gen::{self, WorkloadConfig};
 use bioseq::seq::SeqRecord;
 use blast::extend::ungapped_extend;
-use blast::gapped::{banded_global_stats, xdrop_extend};
+use blast::gapped::{
+    banded_global_alignment, banded_global_stats, xdrop_extend, xdrop_extend_banded, DEFAULT_BAND,
+};
 use blast::lookup::Lookup;
 use blast::search::{BlastSearcher, SearchMode};
 use blast::Scoring;
@@ -52,6 +54,50 @@ fn bench_lookup_build(c: &mut Criterion) {
                 Lookup::build_protein(&refs, 3, 11, &Scoring::blastp_default()).num_words(),
             )
         })
+    });
+}
+
+/// Per-block query set-up as a work unit pays it: encode both strands,
+/// DUST-mask, and build the 11-mer seed table for a 100-read block.
+fn bench_prepare(c: &mut Criterion) {
+    let mut rng = gen::rng(7);
+    let reads: Vec<SeqRecord> = (0..100)
+        .map(|i| SeqRecord::new(format!("r{i}"), gen::random_dna(&mut rng, 400, 0.5)))
+        .collect();
+    let searcher = BlastSearcher::with_mode(SearchMode::Blastn);
+    c.bench_function("prepare_queries_100x400bp_dna", |b| {
+        b.iter(|| black_box(searcher.prepare_queries(black_box(&reads))))
+    });
+}
+
+/// The gapped kernels at the search's own X-drop and band: an extension
+/// from a seed between unrelated sequences (the decoy case, which X-drop
+/// should abandon within a few rows), one along a 400 bp homolog, and the
+/// traceback over a 400 bp alignment with indels.
+fn bench_gapped_kernels(c: &mut Criterion) {
+    let searcher = BlastSearcher::with_mode(SearchMode::Blastn);
+    let scoring = searcher.params.scoring;
+    let xdrop = (searcher.params.xdrop_gapped_bits * std::f64::consts::LN_2
+        / searcher.karlin_gapped().lambda)
+        .ceil() as i32;
+    let mut rng = gen::rng(8);
+    let decoy_q = Alphabet::Dna.encode_seq(&gen::random_dna(&mut rng, 400, 0.5));
+    let decoy_s = Alphabet::Dna.encode_seq(&gen::random_dna(&mut rng, 450, 0.5));
+    c.bench_function("xdrop_random_seed_decoy", |b| {
+        b.iter(|| {
+            black_box(xdrop_extend_banded(&decoy_q, &decoy_s, &scoring, xdrop, DEFAULT_BAND))
+        })
+    });
+
+    let genome = gen::random_dna(&mut rng, 1000, 0.5);
+    let homolog = gen::mutate_dna(&mut rng, &genome[100..500], 0.05, 0.005);
+    let q = Alphabet::Dna.encode_seq(&homolog);
+    let s = Alphabet::Dna.encode_seq(&genome[100..]);
+    c.bench_function("xdrop_homolog_400bp", |b| {
+        b.iter(|| black_box(xdrop_extend_banded(&q, &s, &scoring, xdrop, DEFAULT_BAND)))
+    });
+    c.bench_function("banded_global_400bp", |b| {
+        b.iter(|| black_box(banded_global_alignment(&q, &s[..400], &scoring, 16)))
     });
 }
 
@@ -130,6 +176,8 @@ criterion_group!{
     config = quick_config();
     targets =
     bench_lookup_build,
+    bench_prepare,
+    bench_gapped_kernels,
     bench_extensions,
     bench_work_unit,
     bench_masking

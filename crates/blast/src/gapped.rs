@@ -8,6 +8,28 @@
 //! adaptive band of Zhang et al., as in NCBI's `ALIGN_EX`). A final banded
 //! global alignment over the discovered range recovers identities and gap
 //! counts for reporting.
+//!
+//! # The live window of the X-drop
+//!
+//! Call a value *doomed* once it lies more than X below `best`. A doomed H
+//! is killed outright. A doomed E or F can only be extended, which lowers
+//! it, while `best` only rises, so every value derived from it is doomed
+//! too; in a max with any undoomed value it loses, and alone it yields a
+//! killed cell. A doomed gap value therefore decides exactly what `NEG_INF`
+//! would. An F that is not doomed keeps its own cell alive, since H ≥ F,
+//! so each row's undoomed F values sit at offsets where H survived.
+//! [`xdrop_extend_banded`] hence computes only the *live window*: row i
+//! starts one offset left of row i−1's leftmost surviving H (all further
+//! left cells read only dead or doomed values), and it stops once it is
+//! past row i−1's rightmost surviving H and the horizontal run has become
+//! doomed. Between rows, only the two window edges the next row reads are
+//! reset. The result equals the full-band computation's in score and
+//! endpoint; `tests/kernel_reference.rs` checks this against the full-band
+//! form.
+//!
+//! [`banded_global_alignment`] likewise visits only the band cells of each
+//! row, addressing its neighbours by offset. The pairwise renderer in
+//! [`crate::format`] runs the same kernel.
 
 use crate::matrix::Scoring;
 
@@ -44,6 +66,11 @@ fn guarded(v: i32) -> bool {
 /// `j - i + band`, which keeps the diagonal predecessor at the *same* offset
 /// across rows, the vertical predecessor one offset up, and the horizontal
 /// predecessor one offset down — a standard anti-drift layout.
+///
+/// Only the live window of each row is computed (see the module doc): the
+/// row starts one offset left of the previous row's leftmost surviving H,
+/// and stops once it is past the previous row's rightmost surviving H and
+/// the horizontal gap run has fallen more than X below `best`.
 pub fn xdrop_extend_banded(
     a: &[u8],
     b: &[u8],
@@ -62,85 +89,98 @@ pub fn xdrop_extend_banded(
     let mut best = 0i32;
     let (mut best_i, mut best_j) = (0usize, 0usize);
 
-    // Row i window covers j in [i-band, i+band] ∩ [0, b.len()].
     // h[k], f[k] hold H(i-1, ·) and F(i-1, ·) at offset k = j - (i-1) + band.
-    let mut h = vec![NEG_INF; width];
-    let mut f = vec![NEG_INF; width];
+    // Slot `width` is a sentinel that always reads NEG_INF, so the vertical
+    // predecessor of the last offset needs no bounds test.
+    let mut h = vec![NEG_INF; width + 1];
+    let mut f = vec![NEG_INF; width + 1];
+    let mut h_new = vec![NEG_INF; width + 1];
+    let mut f_new = vec![NEG_INF; width + 1];
 
-    // Row 0: leading gaps in `a` (E-runs along the top edge).
-    // Offsets for row 0: k = j + band.
+    // Row 0: leading gaps in `a` (E-runs along the top edge), at offsets
+    // k = j + band. `lo..=hi` is the previous row's live window.
     h[band] = 0;
+    let mut hi = band;
     for j in 1..=band.min(b.len()) {
         let sc = -go - ge * j as i32;
         if -sc > xdrop {
             break;
         }
         h[band + j] = sc;
+        hi = band + j;
     }
+    let mut lo = band;
 
-    let mut h_new = vec![NEG_INF; width];
-    let mut f_new = vec![NEG_INF; width];
-
-    for i in 1..=a.len() {
-        let j_lo = i.saturating_sub(band);
-        let j_hi = (i + band).min(b.len());
-        if j_lo > b.len() {
+    for (i, &ai) in a.iter().enumerate().map(|(r, c)| (r + 1, c)) {
+        // Offsets of row i: j = k + i - band must stay within [0, b.len()].
+        let Some(k_end) = (b.len() + band).checked_sub(i) else {
             break;
-        }
-        h_new.fill(NEG_INF);
-        f_new.fill(NEG_INF);
+        };
+        let k_end = k_end.min(2 * band);
+        let mut k = lo.saturating_sub(1);
+        let (mut row_lo, mut row_hi) = (usize::MAX, 0usize);
         let mut e = NEG_INF; // horizontal gap run within this row
-        let mut alive = false;
+        let mut h_left = NEG_INF; // H(i, j-1)
 
-        for j in j_lo..=j_hi {
-            // Offset of (i, j) in the current row's window.
-            let k = j + band - i;
-            // Diagonal predecessor (i-1, j-1): same offset k in the previous
-            // row's window.
+        // Cells that can read a live H or F of the previous row.
+        while k <= hi.min(k_end) {
+            let j = k + i - band;
+            // Diagonal predecessor (i-1, j-1): same offset k.
             let d = if j >= 1 && guarded(h[k]) {
-                h[k] + scoring.score(a[i - 1], b[j - 1])
+                h[k] + scoring.score(ai, b[j - 1])
             } else {
                 NEG_INF
             };
-            // Vertical predecessor (i-1, j): offset k+1 in previous window.
-            let fv = if k + 1 < width {
-                let open = if guarded(h[k + 1]) { h[k + 1] - go - ge } else { NEG_INF };
-                let ext = if guarded(f[k + 1]) { f[k + 1] - ge } else { NEG_INF };
-                open.max(ext)
-            } else {
-                NEG_INF
-            };
-            // Horizontal predecessor (i, j-1): offset k-1 in current window.
-            let ev = {
-                let open = if k >= 1 && guarded(h_new[k - 1]) {
-                    h_new[k - 1] - go - ge
-                } else {
-                    NEG_INF
-                };
-                let ext = if guarded(e) { e - ge } else { NEG_INF };
-                open.max(ext)
-            };
-
+            // Vertical predecessor (i-1, j): offset k+1.
+            let fv = (h[k + 1] - go - ge).max(f[k + 1] - ge).max(NEG_INF);
+            // Horizontal predecessor (i, j-1).
+            let ev = (h_left - go - ge).max(e - ge).max(NEG_INF);
             let mut cell = d.max(fv).max(ev);
-            if guarded(cell) && best - cell > xdrop {
+            if best - cell > xdrop {
                 cell = NEG_INF;
             }
             h_new[k] = cell;
             f_new[k] = fv;
             e = ev;
-
-            if guarded(cell) {
-                alive = true;
+            h_left = cell;
+            if cell != NEG_INF {
+                row_lo = row_lo.min(k);
+                row_hi = k;
                 if cell > best {
                     best = cell;
                     best_i = i;
                     best_j = j;
                 }
             }
+            k += 1;
         }
-        if !alive {
+        // Past the previous row's live window only the horizontal gap run
+        // can reach a cell; it ends at the first cell X-drop kills.
+        while k <= k_end {
+            let cell = (h_left - go - ge).max(e - ge).max(NEG_INF);
+            if best - cell > xdrop {
+                break;
+            }
+            h_new[k] = cell;
+            f_new[k] = NEG_INF;
+            e = cell;
+            h_left = cell;
+            row_lo = row_lo.min(k);
+            row_hi = k;
+            k += 1;
+        }
+        if row_lo == usize::MAX {
             break;
         }
+        // The next row reads offsets row_lo-1 ..= row_hi+1; the two edges
+        // may hold values from an older row.
+        if row_lo > 0 {
+            h_new[row_lo - 1] = NEG_INF;
+        }
+        h_new[row_hi + 1] = NEG_INF;
+        f_new[row_hi + 1] = NEG_INF;
+        lo = row_lo;
+        hi = row_hi;
         std::mem::swap(&mut h, &mut h_new);
         std::mem::swap(&mut f, &mut f_new);
     }
@@ -242,56 +282,49 @@ pub fn banded_global_alignment(
     let ge = scoring.gap_extend();
     let band = (n as i64 - m as i64).unsigned_abs() as usize + extra.max(8);
 
-    // Full DP tables over the band; (n+1) x (2*band+1) window around the
-    // diagonal j ≈ i * m / n. For the modest ranges BLAST extensions produce
-    // this is cheap and simple.
+    // DP tables over the band only: row i holds the (2*band+1)-cell window
+    // centred on the diagonal j ≈ i * m / n, cell (i, j) at offset
+    // j - centre(i) + band.
     let width = 2 * band + 1;
+    let centre = |i: usize| i * m / n;
     let idx = |i: usize, j: usize| -> Option<usize> {
-        let center = (i as i64 * m as i64 / n as i64).clamp(0, m as i64);
-        let off = j as i64 - center + band as i64;
-        if off < 0 || off >= width as i64 {
-            None
-        } else {
-            Some(i * width + off as usize)
-        }
+        let off = (j + band).checked_sub(centre(i))?;
+        (off < width).then_some(i * width + off)
     };
+    let get = |mat: &[i32], slot: Option<usize>| slot.map_or(NEG_INF, |s| mat[s]);
 
     let cells = (n + 1) * width;
     let mut hmat = vec![NEG_INF; cells];
     let mut emat = vec![NEG_INF; cells];
     let mut fmat = vec![NEG_INF; cells];
 
-    let set = |mat: &mut Vec<i32>, slot: Option<usize>, v: i32| {
-        if let Some(s) = slot {
-            mat[s] = v;
-        }
-    };
-    let get = |mat: &[i32], slot: Option<usize>| slot.map_or(NEG_INF, |s| mat[s]);
-
-    set(&mut hmat, idx(0, 0), 0);
-    for j in 1..=m {
-        let slot = idx(0, j);
-        if slot.is_none() {
-            break;
-        }
-        set(&mut emat, slot, -go - ge * j as i32);
-        set(&mut hmat, slot, -go - ge * j as i32);
+    // Row 0 (centre 0): leading gaps in `a`.
+    hmat[band] = 0;
+    for j in 1..=m.min(band) {
+        emat[band + j] = -go - ge * j as i32;
+        hmat[band + j] = -go - ge * j as i32;
     }
     for i in 1..=n {
-        if let Some(slot) = idx(i, 0) {
-            fmat[slot] = -go - ge * i as i32;
-            hmat[slot] = -go - ge * i as i32;
+        let c = centre(i);
+        let row = i * width;
+        let prev = row - width;
+        // (i-1, j) sits `shift` offsets right of (i, j) in its own row.
+        let shift = c - centre(i - 1);
+        if c <= band {
+            fmat[row + band - c] = -go - ge * i as i32;
+            hmat[row + band - c] = -go - ge * i as i32;
         }
-        for j in 1..=m {
-            let slot = match idx(i, j) {
-                Some(s) => s,
-                None => continue,
+        for j in c.saturating_sub(band).max(1)..=m.min(c + band) {
+            let off = j + band - c;
+            let up = off + shift;
+            let (h_up, f_up) =
+                if up < width { (hmat[prev + up], fmat[prev + up]) } else { (NEG_INF, NEG_INF) };
+            let h_diag = if up >= 1 && up <= width { hmat[prev + up - 1] } else { NEG_INF };
+            let (h_left, e_left) = if off >= 1 {
+                (hmat[row + off - 1], emat[row + off - 1])
+            } else {
+                (NEG_INF, NEG_INF)
             };
-            let h_diag = get(&hmat, idx(i - 1, j - 1));
-            let h_up = get(&hmat, idx(i - 1, j));
-            let f_up = get(&fmat, idx(i - 1, j));
-            let h_left = get(&hmat, idx(i, j - 1));
-            let e_left = get(&emat, idx(i, j - 1));
 
             let e = (h_left - go - ge).max(e_left - ge).max(NEG_INF);
             let f = (h_up - go - ge).max(f_up - ge).max(NEG_INF);
@@ -300,9 +333,9 @@ pub fn banded_global_alignment(
             } else {
                 h_diag + scoring.score(a[i - 1], b[j - 1])
             };
-            emat[slot] = e;
-            fmat[slot] = f;
-            hmat[slot] = d.max(e).max(f);
+            emat[row + off] = e;
+            fmat[row + off] = f;
+            hmat[row + off] = d.max(e).max(f);
         }
     }
 

@@ -14,8 +14,6 @@
 //! Masked query positions (see [`crate::dust`]) contribute no words: that is
 //! soft masking, seeding suppressed but extensions free to cross.
 
-use std::collections::HashMap;
-
 use crate::matrix::Scoring;
 
 /// Number of residue codes participating in protein neighborhood expansion
@@ -26,11 +24,33 @@ const NEIGHBOR_RADIX: usize = 20;
 /// interprets (e.g. query × strand) plus the offset of a seed word.
 pub type SeedEntry = (u32, u32);
 
+/// Index-table key of an empty slot. No packed word reaches it: DNA words
+/// use at most 62 bits and protein words at most 24⁸ < 2³⁷.
+const EMPTY: u64 = u64::MAX;
+
+/// One index slot: a word and the range of its entries in `entries`.
+#[derive(Clone, Copy)]
+struct Slot {
+    word: u64,
+    start: u32,
+    end: u32,
+}
+
 /// A query-side word lookup table.
+///
+/// Every seed entry lives in one contiguous array, grouped by word and in
+/// (context, offset) order within a word. An open-addressing index with
+/// linear probing maps each word to its range of that array.
 pub struct Lookup {
     word_size: usize,
     radix: u64,
-    table: HashMap<u64, Vec<SeedEntry>>,
+    entries: Vec<SeedEntry>,
+    slots: Vec<Slot>,
+    /// `slots.len() - 1`; the capacity is a power of two.
+    mask: usize,
+    /// `64 - log2(slots.len())`: the top bits of the hash pick the slot.
+    shift: u32,
+    num_words: usize,
 }
 
 impl Lookup {
@@ -41,13 +61,28 @@ impl Lookup {
 
     /// Number of distinct words registered.
     pub fn num_words(&self) -> usize {
-        self.table.len()
+        self.num_words
+    }
+
+    /// Every registered word, in no particular order.
+    pub fn words(&self) -> impl Iterator<Item = u64> + '_ {
+        self.slots.iter().filter(|s| s.word != EMPTY).map(|s| s.word)
     }
 
     /// Seed entries for a packed word (empty slice when absent).
     #[inline]
     pub fn seeds(&self, word: u64) -> &[SeedEntry] {
-        self.table.get(&word).map_or(&[], Vec::as_slice)
+        let mut i = self.home(word);
+        loop {
+            let slot = self.slots[i];
+            if slot.word == word {
+                return &self.entries[slot.start as usize..slot.end as usize];
+            }
+            if slot.word == EMPTY {
+                return &[];
+            }
+            i = (i + 1) & self.mask;
+        }
     }
 
     /// Pack a window of residue codes into a word key.
@@ -64,23 +99,28 @@ impl Lookup {
     /// Panics if `word_size` is 0 or > 31.
     pub fn build_dna(contexts: &[(&[u8], &[u8])], word_size: usize) -> Lookup {
         assert!((1..=31).contains(&word_size), "DNA word size out of range");
-        let mut table: HashMap<u64, Vec<SeedEntry>> = HashMap::new();
+        let windows = contexts.iter().map(|(codes, _)| (codes.len() + 1).saturating_sub(word_size));
+        let mut triples = Vec::with_capacity(windows.sum());
+        // 4^word_size: the weight a code has once it leaves the window.
+        let leaving = 4u64.pow(word_size as u32);
         for (ctx, (codes, mask)) in contexts.iter().enumerate() {
             debug_assert_eq!(codes.len(), mask.len());
-            if codes.len() < word_size {
-                continue;
-            }
-            for pos in 0..=codes.len() - word_size {
-                if mask[pos..pos + word_size].iter().any(|&m| m != 0) {
-                    continue;
+            // `word` packs the last `word_size` codes, as `pack` would;
+            // `run` counts the unmasked positions ending at `end`.
+            let (mut word, mut run) = (0u64, 0usize);
+            for (end, (&c, &m)) in codes.iter().zip(mask.iter()).enumerate() {
+                word = word.wrapping_mul(4).wrapping_add(u64::from(c));
+                if end >= word_size {
+                    let gone = u64::from(codes[end - word_size]);
+                    word = word.wrapping_sub(gone.wrapping_mul(leaving));
                 }
-                let word = codes[pos..pos + word_size]
-                    .iter()
-                    .fold(0u64, |acc, &c| acc * 4 + u64::from(c));
-                table.entry(word).or_default().push((ctx as u32, pos as u32));
+                run = if m == 0 { run + 1 } else { 0 };
+                if run >= word_size {
+                    triples.push((word, ctx as u32, (end + 1 - word_size) as u32));
+                }
             }
         }
-        Lookup { word_size, radix: 4, table }
+        Lookup::from_triples(triples, word_size, 4)
     }
 
     /// Build a protein neighborhood lookup: every database word scoring ≥
@@ -102,7 +142,7 @@ impl Lookup {
             matches!(scoring, Scoring::Blosum62 { .. }),
             "protein lookup needs a protein scoring system"
         );
-        let mut table: HashMap<u64, Vec<SeedEntry>> = HashMap::new();
+        let mut triples = Vec::new();
         // Column maxima for branch-and-bound: best achievable score of any
         // neighbor residue against a given query residue.
         let col_max: Vec<i32> = (0..24u8)
@@ -122,7 +162,7 @@ impl Lookup {
                 let qword = &codes[pos..pos + word_size];
                 // Always register the exact word.
                 let exact = qword.iter().fold(0u64, |acc, &c| acc * 24 + u64::from(c));
-                push_unique(&mut table, exact, (ctx as u32, pos as u32));
+                triples.push((exact, ctx as u32, pos as u32));
                 // Remaining-score bound for pruning.
                 let mut suffix_max = vec![0i32; word_size + 1];
                 for i in (0..word_size).rev() {
@@ -139,21 +179,85 @@ impl Lookup {
                     0,
                     &mut |packed| {
                         if packed != exact {
-                            push_unique(&mut table, packed, (ctx as u32, pos as u32));
+                            triples.push((packed, ctx as u32, pos as u32));
                         }
                     },
                 );
             }
         }
-        Lookup { word_size, radix: 24, table }
+        Lookup::from_triples(triples, word_size, 24)
+    }
+
+    /// Group `(word, context, offset)` triples, which the builders produce
+    /// in (context, offset) order, into the flat table. A stable sort on the
+    /// word keeps each word's entries in that order; repeats are dropped.
+    fn from_triples(triples: Vec<(u64, u32, u32)>, word_size: usize, radix: u64) -> Lookup {
+        let mut triples = sort_by_word(triples);
+        triples.dedup();
+        assert!(u32::try_from(triples.len()).is_ok(), "lookup holds more than 2^32 entries");
+        let num_words = triples.chunk_by(|x, y| x.0 == y.0).count();
+        // At most half full, so a probe for an absent word meets an empty
+        // slot quickly.
+        let capacity = (2 * num_words).next_power_of_two().max(2);
+        let mut lookup = Lookup {
+            word_size,
+            radix,
+            entries: triples.iter().map(|&(_, ctx, pos)| (ctx, pos)).collect(),
+            slots: vec![Slot { word: EMPTY, start: 0, end: 0 }; capacity],
+            mask: capacity - 1,
+            shift: 64 - capacity.trailing_zeros(),
+            num_words,
+        };
+        let mut start = 0usize;
+        for group in triples.chunk_by(|x, y| x.0 == y.0) {
+            let word = group[0].0;
+            let mut i = lookup.home(word);
+            while lookup.slots[i].word != EMPTY {
+                i = (i + 1) & lookup.mask;
+            }
+            let end = start + group.len();
+            lookup.slots[i] = Slot { word, start: start as u32, end: end as u32 };
+            start = end;
+        }
+        lookup
+    }
+
+    /// Home slot of `word`: Fibonacci (multiplicative) hashing.
+    #[inline]
+    fn home(&self, word: u64) -> usize {
+        (word.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
     }
 }
 
-fn push_unique(table: &mut HashMap<u64, Vec<SeedEntry>>, word: u64, entry: SeedEntry) {
-    let v = table.entry(word).or_default();
-    if v.last() != Some(&entry) {
-        v.push(entry);
+/// Stable LSD radix sort of triples on their word, 11 bits per pass: linear
+/// in the triple count (two passes for 11-mers), and equal words keep their
+/// input order.
+fn sort_by_word(mut triples: Vec<(u64, u32, u32)>) -> Vec<(u64, u32, u32)> {
+    const BITS: u32 = 11;
+    const DIGITS: usize = 1 << BITS;
+    let key_bits = triples.iter().map(|t| 64 - t.0.leading_zeros()).max().unwrap_or(0);
+    let mut out = vec![(0u64, 0u32, 0u32); triples.len()];
+    let mut shift = 0;
+    while shift < key_bits {
+        let digit = |word: u64| (word >> shift) as usize & (DIGITS - 1);
+        // Start of each digit's run in `out`.
+        let mut next = [0usize; DIGITS];
+        for t in &triples {
+            next[digit(t.0)] += 1;
+        }
+        let mut start = 0;
+        for n in next.iter_mut() {
+            (start, *n) = (start + *n, start);
+        }
+        for &t in &triples {
+            let d = digit(t.0);
+            out[next[d]] = t;
+            next[d] += 1;
+        }
+        std::mem::swap(&mut triples, &mut out);
+        shift += BITS;
     }
+    triples
 }
 
 /// Depth-first enumeration of all words scoring ≥ threshold against
@@ -335,7 +439,7 @@ mod tests {
         }
         // The exact query word is always included.
         expect.insert(q.iter().fold(0u64, |acc, &c| acc * 24 + u64::from(c)));
-        let got: std::collections::HashSet<u64> = lk.table.keys().copied().collect();
+        let got: std::collections::HashSet<u64> = lk.words().collect();
         assert_eq!(got, expect);
     }
 }

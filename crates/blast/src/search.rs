@@ -222,18 +222,25 @@ impl BlastSearcher {
                     if hsp.score < gap_trigger_raw {
                         continue;
                     }
-                    // Gapped extension from the midpoint anchor.
+                    // Gapped extension from the midpoint anchor. The band
+                    // lets an extension consume at most DEFAULT_BAND more
+                    // subject than query residues, so each subject slice
+                    // stops there.
                     let anchor_q = (hsp.q_start + hsp.q_end) / 2;
                     let anchor_s = hsp.s_start + (anchor_q - hsp.q_start);
+                    let s_fwd_end =
+                        (anchor_s + (ctx.codes.len() - anchor_q) + DEFAULT_BAND).min(s_codes.len());
                     let fwd = xdrop_extend_banded(
                         &ctx.codes[anchor_q..],
-                        &s_codes[anchor_s..],
+                        &s_codes[anchor_s..s_fwd_end],
                         &self.params.scoring,
                         xdrop_gapped,
                         DEFAULT_BAND,
                     );
+                    let s_bwd_start = anchor_s.saturating_sub(anchor_q + DEFAULT_BAND);
                     let q_rev: Vec<u8> = ctx.codes[..anchor_q].iter().rev().copied().collect();
-                    let s_rev: Vec<u8> = s_codes[..anchor_s].iter().rev().copied().collect();
+                    let s_rev: Vec<u8> =
+                        s_codes[s_bwd_start..anchor_s].iter().rev().copied().collect();
                     let bwd = xdrop_extend_banded(
                         &q_rev,
                         &s_rev,

@@ -1129,6 +1129,9 @@ impl FtMaster<'_> {
     /// that is running the same unit. The winner is alive, so fencing can
     /// never remove the last worker; the fenced straggler wakes from its
     /// stall at the board check and unwinds exactly like a crashed rank.
+    /// Its earlier commits die with it, so they are reclaimed at once: the
+    /// commit that fenced it must not settle the run and release the other
+    /// workers while those units still need a new home.
     fn fence_silent_losers(&mut self, unit: u64, winner: usize) {
         if !self.speculate {
             return;
@@ -1146,6 +1149,8 @@ impl FtMaster<'_> {
             {
                 self.comm.fence(worker);
                 self.journal(LOG_FENCE, unit, worker);
+                self.known_dead.insert(worker);
+                self.reclaim(worker);
             }
         }
     }
@@ -2240,6 +2245,41 @@ mod tests {
             "speculation must beat the stall window, elapsed {:?}",
             start.elapsed()
         );
+    }
+
+    #[test]
+    fn ft_fenced_straggler_commits_are_rerun_before_the_run_settles() {
+        // Rank 1 commits its first unit, then stalls inside its second, the
+        // last one outstanding. The backup's commit settles every unit but
+        // fences rank 1, whose committed unit dies with it: that unit must
+        // go to the surviving worker, not end the run as unaccounted work.
+        let cfg = FtConfig {
+            rpc_timeout: Duration::from_millis(25),
+            speculate: true,
+            suspect_after: Duration::from_millis(100),
+            spec_backoff: Duration::from_millis(50),
+            ..FtConfig::default()
+        };
+        let plan = FaultPlan::new(41).stall(1, 0.005, 30.0);
+        let outcomes = World::new(3).with_faults(plan).run_faulty(move |comm| {
+            if comm.rank() == 2 {
+                // Rank 1 asks first, so it owns a commit before it stalls.
+                std::thread::sleep(Duration::from_millis(50));
+            }
+            // Rank 1's clock crosses the stall time during its second unit.
+            assign_and_run_ft_report(comm, 3, &cfg, &mut |_| comm.charge(0.003), &mut |_, _| {})
+        });
+        assert!(outcomes[1].is_died(), "straggler must be fenced: {:?}", outcomes[1]);
+        let master = outcomes[0].as_done().unwrap().as_ref().expect("master finishes");
+        assert!(master.quarantined.is_empty());
+        let mut committed: Vec<usize> = outcomes
+            .iter()
+            .filter_map(|o| o.as_done())
+            .filter_map(|r| r.as_ref().ok())
+            .flat_map(|r| r.units.iter().copied())
+            .collect();
+        committed.sort_unstable();
+        assert_eq!(committed, vec![0, 1, 2]);
     }
 
     #[test]

@@ -14,6 +14,9 @@ cargo clippy --all-targets -- -D warnings
 echo "== cargo test -q (root package: integration + property tests) =="
 cargo test -q
 
+echo "== cargo test -q -p blast (engine unit tests, DP-kernel and seed-table references) =="
+cargo test -q -p blast
+
 echo "== fault-mode smoke: 2 of 8 workers killed mid-map, bit-for-bit BLAST =="
 cargo test -q --test parallel_equivalence blast_equivalence_with_two_of_eight_workers_killed_mid_map
 
