@@ -22,8 +22,7 @@ use bioseq::db::{format_db, FormatDbConfig};
 use bioseq::gen::{self, WorkloadConfig};
 use bioseq::shred::query_blocks;
 use mpisim::World;
-use mrbio::{run_mrblast, MrBlastConfig};
-use mrmpi::MapStyle;
+use mrbio::{run_mrblast, MrBlastConfig, Schedule};
 use perfmodel::{simulate_master_worker, BlastScenario, ClusterModel};
 use std::sync::Arc;
 
@@ -93,13 +92,13 @@ fn main() {
         World::new(4).run(move |comm| {
             let cfg = MrBlastConfig {
                 blocks_per_iteration: 2,
-                map_style: MapStyle::Chunk, // reproducible output order
+                schedule: Schedule::Chunk, // reproducible output order
                 output_dir: Some(out.clone()),
                 checkpoint_dir: ckpt.then(|| ck.clone()),
                 stop_after_iterations: stop,
                 ..MrBlastConfig::blastn()
             };
-            run_mrblast(comm, &db, &blocks, &cfg)
+            run_mrblast(comm, &db, &blocks, &cfg).unwrap();
         });
         t0.elapsed().as_secs_f64()
     };

@@ -16,7 +16,7 @@ use bioseq::db::{format_db, FormatDbConfig};
 use bioseq::gen::{self, WorkloadConfig};
 use bioseq::shred::query_blocks;
 use mpisim::World;
-use mrbio::{run_mrblast, MrBlastConfig};
+use mrbio::{run_mrblast, FaultConfig, MrBlastConfig, Schedule};
 use perfmodel::{simulate_master_worker, simulate_master_worker_affinity, BlastScenario, ClusterModel};
 use std::sync::Arc;
 
@@ -78,8 +78,13 @@ fn main() {
         let db = db.clone();
         let blocks = blocks.clone();
         let reports = World::new(4).run(move |comm| {
-            let cfg = MrBlastConfig { locality_aware: locality, ..MrBlastConfig::blastn() };
-            run_mrblast(comm, &db, &blocks, &cfg)
+            let schedule = if locality {
+                Schedule::Locality(FaultConfig::default())
+            } else {
+                Schedule::MasterWorker(FaultConfig::default())
+            };
+            let cfg = MrBlastConfig { schedule, ..MrBlastConfig::blastn() };
+            run_mrblast(comm, &db, &blocks, &cfg).unwrap()
         });
         row(&[
             if locality { "locality-aware".into() } else { "plain master".to_string() },

@@ -22,7 +22,7 @@ use bioseq::db::{format_db, FormatDbConfig};
 use bioseq::gen::{self, WorkloadConfig};
 use bioseq::shred::query_blocks;
 use mpisim::{FaultPlan, RankOutcome, World};
-use mrbio::{run_mrblast_ft, FaultConfig, MrBlastConfig};
+use mrbio::{run_mrblast, FaultConfig, MrBlastConfig, Schedule};
 use mrmpi::FtConfig;
 use perfmodel::{
     simulate_master_worker, simulate_master_worker_speculative, BlastScenario, ClusterModel,
@@ -126,13 +126,9 @@ fn main() {
         .with_obs(collector.clone());
         let t0 = std::time::Instant::now();
         let outcomes = world.run_faulty(move |comm| {
-            run_mrblast_ft(
-                comm,
-                &db,
-                &blocks,
-                &MrBlastConfig::blastn(),
-                &FaultConfig { ft: ft.clone() },
-            )
+            let schedule = Schedule::MasterWorker(FaultConfig { ft: ft.clone() });
+            let cfg = MrBlastConfig { schedule, ..MrBlastConfig::blastn() };
+            run_mrblast(comm, &db, &blocks, &cfg)
         });
         let wall = t0.elapsed().as_secs_f64();
         let mut lines: Vec<String> = Vec::new();

@@ -68,7 +68,7 @@ fn main() {
     let db = Arc::new(db);
     let blocks2 = Arc::new(blocks);
     let reports = World::new(4).run(move |comm| {
-        run_mrblast(comm, &db, &blocks2, &MrBlastConfig::blastn())
+        run_mrblast(comm, &db, &blocks2, &MrBlastConfig::blastn()).unwrap()
     });
     let mr_makespan = reports.iter().map(|r| r.finish_time).fold(0.0, f64::max);
     let mr_hits: usize = reports.iter().map(|r| r.hits.len()).sum();

@@ -46,7 +46,9 @@ fn main() {
         let db = db.clone();
         let blocks = blocks.clone();
         let reports =
-            World::new(ranks).run(move |comm| run_mrblast(comm, &db, &blocks, &MrBlastConfig::blastn()));
+            World::new(ranks).run(move |comm| {
+                run_mrblast(comm, &db, &blocks, &MrBlastConfig::blastn()).unwrap()
+            });
         let mut parallel: Vec<_> = reports
             .iter()
             .flat_map(|r| r.hits.iter())

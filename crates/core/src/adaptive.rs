@@ -18,22 +18,20 @@
 //!    block size for a target work-unit duration is derived and broadcast;
 //! 3. block ranges follow a **guided schedule** ([`bioseq::guided_blocks`]):
 //!    full-size early, shrinking toward the end for uniform core filling;
-//! 4. the usual MR-MPI pipeline runs over (range × partition) work units,
-//!    each map() materializing its queries straight from the indexed FASTA.
+//! 4. the block ranges feed the [`crate::run_mrblast`] driver over
+//!    (range × partition) work units, each block's queries read straight
+//!    from the indexed FASTA when a work unit first needs them.
 
-use std::cell::RefCell;
 use std::path::Path;
 use std::time::Instant;
 
-use bioseq::db::{BlastDb, DbPartition};
+use bioseq::db::BlastDb;
 use bioseq::faindex::{guided_blocks, FastaIndex};
-use blast::hsp::{sort_and_truncate, Hit};
-use blast::search::{BlastSearcher, PreparedQueries};
+use blast::search::BlastSearcher;
 use mpisim::Comm;
-use mrmpi::{MapReduce, MapStyle};
+use mrmpi::MrError;
 
-use crate::mrblast::{MrBlastConfig, MrBlastRankReport};
-use crate::util::BusyTracker;
+use crate::mrblast::{drive, MrBlastConfig, MrBlastRankReport, Queries};
 
 /// Tuning of the adaptive driver.
 #[derive(Debug, Clone, Copy)]
@@ -75,15 +73,19 @@ pub struct AdaptiveReport {
 /// Run MR-MPI BLAST straight from an indexed FASTA query file with
 /// dynamically chosen, guided query blocks. Collective.
 ///
-/// Honors `cfg.params`, `cfg.map_style`, `cfg.locality_aware` and
-/// `cfg.exclude_self`; output is in-memory (the per-rank `hits`).
+/// Block sizing only plans the input: the blocks then run through the same
+/// driver as [`crate::run_mrblast`], so every [`MrBlastConfig`] setting
+/// applies (schedule and fault settings, iterations, per-rank output files,
+/// self-hit exclusion) except `checkpoint_dir`: the plan comes from a timing
+/// measurement, so a restarted run may cut different blocks, and a
+/// checkpoint of finished block indices would not carry over.
 pub fn run_mrblast_adaptive(
     comm: &Comm,
     db: &BlastDb,
     query_fasta: &Path,
     cfg: &MrBlastConfig,
     acfg: &AdaptiveConfig,
-) -> AdaptiveReport {
+) -> Result<AdaptiveReport, MrError> {
     let searcher = BlastSearcher::new(cfg.params);
     let index = FastaIndex::build(query_fasta).expect("index query FASTA");
     let nparts = db.num_partitions();
@@ -118,100 +120,22 @@ pub fn run_mrblast_adaptive(
     // ---- guided block schedule ----
     let workers = comm.size().saturating_sub(1).max(1);
     let block_ranges = guided_blocks(nqueries, chosen_block, acfg.min_block, workers);
-    let ntasks = block_ranges.len() * nparts;
 
     // ---- the usual pipeline, reading query ranges on demand ----
-    let mut report = MrBlastRankReport {
-        rank: comm.rank(),
-        hits: Vec::new(),
-        output_file: None,
-        map_calls: 0,
-        db_loads: 0,
-        busy: BusyTracker::new(),
-        finish_time: 0.0,
-        quarantined: Vec::new(),
-    };
-
-    let db_cache: RefCell<Option<(usize, DbPartition)>> = RefCell::new(None);
-    let q_cache: RefCell<Option<(usize, PreparedQueries)>> = RefCell::new(None);
-    let counters: RefCell<(u64, u64)> = RefCell::new((0, 0));
-    let busy: RefCell<BusyTracker> = RefCell::new(BusyTracker::new());
-
-    let nblocks = block_ranges.len();
-    let mut mr = MapReduce::with_settings(comm, cfg.mr_settings.clone());
-    let mut map_body = |task: usize, kv: &mut mrmpi::KvEmitter<'_>| {
-        let part_idx = task / nblocks;
-        let block_idx = task % nblocks;
-        counters.borrow_mut().0 += 1;
-
-        let mut db_slot = db_cache.borrow_mut();
-        let reload = !matches!(&*db_slot, Some((idx, _)) if *idx == part_idx);
-        if reload {
-            let t0 = Instant::now();
-            let part = db.load_partition(part_idx).expect("load DB partition");
-            comm.charge(t0.elapsed().as_secs_f64());
-            counters.borrow_mut().1 += 1;
-            *db_slot = Some((part_idx, part));
-        }
-        let (_, part) = db_slot.as_ref().expect("cache just filled");
-
-        let mut q_slot = q_cache.borrow_mut();
-        let rebuild = !matches!(&*q_slot, Some((idx, _)) if *idx == block_idx);
-        if rebuild {
-            let (start, end) = block_ranges[block_idx];
-            let t0 = Instant::now();
-            let queries = index.read_range(start, end).expect("read query range");
-            let prepared = searcher.prepare_queries(&queries);
-            comm.charge(t0.elapsed().as_secs_f64());
-            *q_slot = Some((block_idx, prepared));
-        }
-        let (_, prepared) = q_slot.as_ref().expect("cache just filled");
-
-        let clock_start = comm.now();
-        let t0 = Instant::now();
-        let hits =
-            searcher.search_partition(prepared, part, db.total_residues, db.total_sequences);
-        let elapsed = t0.elapsed().as_secs_f64();
-        comm.charge(elapsed);
-        busy.borrow_mut().record(clock_start, clock_start + elapsed);
-
-        for hit in hits {
-            if cfg.exclude_self && crate::mrblast::is_self_hit(&hit) {
-                continue;
-            }
-            kv.emit(hit.query_id.as_bytes(), &hit.encode());
-        }
-    };
-    if cfg.locality_aware && cfg.map_style == MapStyle::MasterWorker {
-        let affinity: Vec<usize> = (0..ntasks).map(|t| t / nblocks).collect();
-        mr.map_tasks_affinity(ntasks, &affinity, &mut map_body);
-    } else {
-        mr.map_tasks(ntasks, cfg.map_style, &mut map_body);
-    }
-
-    mr.collate();
-    let max_hits = cfg.params.max_hits_per_query;
-    mr.reduce(&mut |_key, values, _out| {
-        let mut hits: Vec<Hit> = values.map(Hit::decode).collect();
-        sort_and_truncate(&mut hits, max_hits);
-        report.hits.extend(hits);
-    });
-    comm.barrier();
-
-    let (map_calls, db_loads) = *counters.borrow();
-    report.map_calls = map_calls;
-    report.db_loads = db_loads;
-    report.busy = busy.into_inner();
-    report.finish_time = comm.now();
-    AdaptiveReport { base: report, chosen_block, block_ranges }
+    let queries = Queries::Indexed { index: &index, ranges: &block_ranges };
+    let cfg = MrBlastConfig { checkpoint_dir: None, ..cfg.clone() };
+    let base = drive(comm, db, &queries, &cfg)?;
+    Ok(AdaptiveReport { base, chosen_block, block_ranges })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{FaultConfig, Schedule};
     use bioseq::db::{format_db, FormatDbConfig};
     use bioseq::fasta::write_fasta_file;
     use bioseq::gen::{self, WorkloadConfig};
+    use blast::hsp::Hit;
     use blast::SearchParams;
     use mpisim::World;
     use std::path::PathBuf;
@@ -260,6 +184,7 @@ mod tests {
                     &MrBlastConfig::blastn(),
                     &AdaptiveConfig::default(),
                 )
+                .unwrap()
             });
             let got = keys(reports.into_iter().flat_map(|r| r.base.hits));
             assert_eq!(got, keys(serial.clone()), "ranks={ranks}");
@@ -278,6 +203,7 @@ mod tests {
                 &MrBlastConfig::blastn(),
                 &AdaptiveConfig { target_unit_seconds: 0.02, ..Default::default() },
             )
+            .unwrap()
         });
         // Every rank derived the same schedule.
         let first = &reports[0];
@@ -300,8 +226,11 @@ mod tests {
     fn adaptive_with_locality_still_correct() {
         let (db, fasta, serial, dir) = fixture("loc");
         let reports = World::new(4).run(move |comm| {
-            let cfg = MrBlastConfig { locality_aware: true, ..MrBlastConfig::blastn() };
-            run_mrblast_adaptive(comm, &db, &fasta, &cfg, &AdaptiveConfig::default())
+            let cfg = MrBlastConfig {
+                schedule: Schedule::Locality(FaultConfig::default()),
+                ..MrBlastConfig::blastn()
+            };
+            run_mrblast_adaptive(comm, &db, &fasta, &cfg, &AdaptiveConfig::default()).unwrap()
         });
         let got = keys(reports.into_iter().flat_map(|r| r.base.hits));
         assert_eq!(got, keys(serial));
@@ -323,6 +252,7 @@ mod tests {
                     ..Default::default()
                 },
             )
+            .unwrap()
         });
         assert_eq!(reports[0].chosen_block, 2, "tiny target must clamp to min_block");
         let got = keys(reports.into_iter().flat_map(|r| r.base.hits));

@@ -1,7 +1,9 @@
 //! `mb-blast` — run the parallel MR-MPI BLAST on a formatted database.
 //!
 //! The command-line face of the paper's first application: simulated MPI
-//! ranks, master-worker scheduling, per-rank tabular output files.
+//! ranks, fault-tolerant master-worker scheduling, per-rank tabular output
+//! files. A run that fails (e.g. every worker died) prints the typed error
+//! and exits with status 2.
 //!
 //! ```text
 //! mb-blast --db dbdir --name refdb --queries reads.fa --ranks 4
@@ -16,7 +18,10 @@ use bioseq::shred::query_blocks;
 use blast::SearchParams;
 use mpisim::World;
 use mrbio::cliargs::Args;
-use mrbio::{run_mrblast, run_mrblast_adaptive, AdaptiveConfig, MrBlastConfig};
+use mrbio::{
+    run_mrblast, run_mrblast_adaptive, AdaptiveConfig, FaultConfig, MrBlastConfig,
+    MrBlastRankReport, Schedule,
+};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -89,9 +94,14 @@ fn run() -> Result<(), String> {
     } else {
         MrBlastConfig::blastn()
     };
+    let schedule = if locality {
+        Schedule::Locality(FaultConfig::default())
+    } else {
+        Schedule::MasterWorker(FaultConfig::default())
+    };
     let cfg = MrBlastConfig {
         params,
-        locality_aware: locality,
+        schedule,
         exclude_self,
         output_dir: out,
         ..base
@@ -107,27 +117,22 @@ fn run() -> Result<(), String> {
     );
 
     let t0 = std::time::Instant::now();
-    let (total_hits, queries_n, loads, busy) = if adaptive {
+    let (reports, queries_n) = if adaptive {
         let qp = PathBuf::from(&queries_path);
         let db2 = db.clone();
         let cfg2 = cfg.clone();
         let reports = make_world(ranks).run(move |comm| {
             run_mrblast_adaptive(comm, &db2, &qp, &cfg2, &AdaptiveConfig::default())
         });
+        let reports: Vec<_> =
+            reports.into_iter().collect::<Result<_, _>>().map_err(|e| e.to_string())?;
         eprintln!(
             "adaptive block size chosen: {} ({} blocks)",
             reports[0].chosen_block,
             reports[0].block_ranges.len()
         );
-        let hits: usize = reports.iter().map(|r| r.base.hits.len()).sum();
-        let loads: u64 = reports.iter().map(|r| r.base.db_loads).sum();
-        let busy: f64 = reports.iter().map(|r| r.base.busy.busy_total()).sum();
-        if cfg.output_dir.is_some() {
-            eprintln!("note: --adaptive output is in-memory; omit --adaptive for per-rank files");
-        }
-        let queries_n =
-            reports[0].block_ranges.last().map_or(0, |&(_, e)| e);
-        (hits, queries_n, loads, busy)
+        let queries_n = reports[0].block_ranges.last().map_or(0, |&(_, e)| e);
+        (reports.into_iter().map(|r| r.base).collect::<Vec<_>>(), queries_n)
     } else {
         let queries =
             read_fasta_file(&queries_path).map_err(|e| format!("read {queries_path}: {e}"))?;
@@ -137,16 +142,18 @@ fn run() -> Result<(), String> {
         let cfg2 = cfg.clone();
         let reports =
             make_world(ranks).run(move |comm| run_mrblast(comm, &db2, &blocks, &cfg2));
-        for r in &reports {
-            if let Some(path) = &r.output_file {
-                eprintln!("rank {} → {}", r.rank, path.display());
-            }
-        }
-        let hits: usize = reports.iter().map(|r| r.hits.len()).sum();
-        let loads: u64 = reports.iter().map(|r| r.db_loads).sum();
-        let busy: f64 = reports.iter().map(|r| r.busy.busy_total()).sum();
-        (hits, queries_n, loads, busy)
+        let reports: Vec<MrBlastRankReport> =
+            reports.into_iter().collect::<Result<_, _>>().map_err(|e| e.to_string())?;
+        (reports, queries_n)
     };
+    for r in &reports {
+        if let Some(path) = &r.output_file {
+            eprintln!("rank {} → {}", r.rank, path.display());
+        }
+    }
+    let total_hits: usize = reports.iter().map(|r| r.hits.len()).sum();
+    let loads: u64 = reports.iter().map(|r| r.db_loads).sum();
+    let busy: f64 = reports.iter().map(|r| r.busy.busy_total()).sum();
 
     println!(
         "{total_hits} hits for {queries_n} queries in {:.2}s wall ({} partition loads, {:.2}s engine time)",
@@ -154,6 +161,14 @@ fn run() -> Result<(), String> {
         loads,
         busy
     );
+    // Every rank reports the same quarantine list.
+    let quarantined = reports[0].quarantined.len();
+    if quarantined > 0 {
+        println!(
+            "{quarantined} work units quarantined as poison: their (query block, partition) \
+             pairs contributed no hits"
+        );
+    }
 
     if let (Some(path), Some(collector)) = (&trace_path, &collector) {
         let trace = collector.trace();

@@ -4,7 +4,7 @@
 //! "the price for this extra flexibility and portability is a lack of
 //! fault-tolerance inherent in the underlying MPI execution model" (§II.A).
 //! This module is the configuration surface for the *recovering* drivers
-//! ([`crate::mrblast::run_mrblast_ft`], [`crate::mrsom::run_mrsom_ft`]) built
+//! ([`crate::mrblast::run_mrblast`], [`crate::mrsom::run_mrsom_ft`]) built
 //! on the fault-tolerant scheduler in [`mrmpi::sched`]:
 //!
 //! * worker deaths (injected deterministically via [`mpisim::FaultPlan`], or
@@ -57,12 +57,6 @@ pub struct FaultConfig {
 }
 
 impl FaultConfig {
-    /// Defaults — equivalent to `FaultConfig::default()`, spelled out for
-    /// call sites that configure nothing else.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Defaults with **speculative re-execution** enabled (the `--speculate`
     /// recipe): work units in flight on a worker that misses its heartbeat
     /// deadline are re-dispatched to idle workers; the first completion wins

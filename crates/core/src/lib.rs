@@ -41,7 +41,7 @@
 //!
 //! The paper's conclusion names two scheduler improvements as work in
 //! progress; both are built here: the **locality-aware master**
-//! (`MrBlastConfig::locality_aware`, scheduling in `mrmpi::sched`) and
+//! ([`Schedule::Locality`], affinity dispatch in `mrmpi::sched`) and
 //! **dynamic query-block sizing** over an indexed FASTA with a timing
 //! iteration and guided shrinking blocks ([`adaptive`]).
 //!
@@ -49,9 +49,7 @@
 //!
 //! [`htc`] implements the matrix-split HTC workflow (the paper's JCVI/VICS
 //! comparison): statically partitioned serial jobs plus a merge step, on the
-//! same engine, for makespan comparison. [`htcflow`] generalizes it into a
-//! small DAG workflow engine (dependencies, worker-pool list scheduling,
-//! critical paths) standing in for the paper's unpublished VICS system.
+//! same engine, for makespan comparison.
 
 //! ```
 //! use bioseq::db::{format_db, FormatDbConfig};
@@ -66,7 +64,7 @@
 //! let db = Arc::new(format_db(&w.db, &FormatDbConfig::dna(4096), &dir, "d").unwrap());
 //! let blocks = Arc::new(query_blocks(w.queries, 5));
 //! let reports = World::new(3).run(move |comm| {
-//!     run_mrblast(comm, &db, &blocks, &MrBlastConfig::blastn())
+//!     run_mrblast(comm, &db, &blocks, &MrBlastConfig::blastn()).unwrap()
 //! });
 //! assert_eq!(reports.len(), 3);
 //! ```
@@ -76,7 +74,6 @@ pub mod ckpt;
 pub mod cliargs;
 pub mod fault;
 pub mod htc;
-pub mod htcflow;
 pub mod matrixio;
 pub mod mrblast;
 pub mod mrsom;
@@ -86,7 +83,7 @@ pub use adaptive::{run_mrblast_adaptive, AdaptiveConfig, AdaptiveReport};
 pub use ckpt::{BlastCheckpoint, RestartPoint, RunFingerprint};
 pub use fault::{disk_faults, FaultConfig};
 pub use matrixio::VectorMatrix;
-pub use mrblast::{run_mrblast, run_mrblast_ft, MrBlastConfig, MrBlastRankReport};
+pub use mrblast::{run_mrblast, MrBlastConfig, MrBlastRankReport, Schedule};
 pub use mrsom::{
     checkpoint_path, load_latest_checkpoint, run_mrsom, run_mrsom_ft, write_checkpoint,
     MrSomConfig, MrSomRankReport,

@@ -5,11 +5,12 @@
 //! 1. the query set arrives pre-split into *query blocks*; the database is
 //!    pre-formatted into partitions (`bioseq::db`);
 //! 2. work items are `(query block, DB partition)` tuples; `map()` is run
-//!    with the master-worker mapstyle so that "each worker is kept occupied
-//!    as long as there are remaining work units";
+//!    on the fault-tolerant master-worker scheduler so that "each worker is
+//!    kept occupied as long as there are remaining work units";
 //! 3. each `map()` call runs the serial engine with the DB length overridden
 //!    to the whole database and emits `(query id → encoded HSP)` pairs;
-//! 4. `collate()` groups hits per query across partitions;
+//! 4. a checked `aggregate()` + `convert()` (collate with accounting)
+//!    groups hits per query across partitions;
 //! 5. `reduce()` sorts by E-value, truncates to the requested top-K and
 //!    appends to the per-rank output file — "the results of the computations
 //!    are in a set of files, one per each MPI rank, with the hits for each
@@ -17,23 +18,45 @@
 //! 6. an outer loop over subsets of the query blocks bounds the KV working
 //!    set held in memory between `map()` and `reduce()`.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::io::Write;
 use std::path::PathBuf;
 use std::time::Instant;
 
 use bioseq::db::{BlastDb, DbPartition};
+use bioseq::faindex::FastaIndex;
 use bioseq::seq::SeqRecord;
 use blast::format::tabular_line;
 use blast::hsp::{sort_and_truncate, Hit};
 use blast::search::{BlastSearcher, PreparedQueries};
 use blast::SearchParams;
 use mpisim::Comm;
-use mrmpi::{MapReduce, MapStyle, MrError, Settings};
+use mrmpi::{DispatchPolicy, MapReduce, MapStyle, MrError, Settings};
 
 use crate::ckpt::{self, RestartPoint, RunFingerprint};
 use crate::fault::FaultConfig;
 use crate::util::BusyTracker;
+
+/// How [`run_mrblast`] assigns its `(query block × DB partition)` work
+/// units to ranks.
+#[derive(Debug, Clone)]
+pub enum Schedule {
+    /// Contiguous units per rank (MR-MPI mapstyle 0). Static: no master and
+    /// no recovery, but each rank's output file is the same run to run.
+    Chunk,
+    /// Strided units per rank (mapstyle 1); static like [`Schedule::Chunk`].
+    RoundRobin,
+    /// The fault-tolerant master hands out units in partition-major order
+    /// (mapstyle 2, the paper's choice), so "each worker is kept occupied as
+    /// long as there are remaining work units". It survives worker deaths,
+    /// master loss, stragglers and poison units as the [`FaultConfig`] says.
+    MasterWorker(FaultConfig),
+    /// [`Schedule::MasterWorker`] with the paper's future-work
+    /// locality-aware master: a worker preferentially receives units of the
+    /// DB partition it already holds.
+    Locality(FaultConfig),
+}
 
 /// Configuration of one MR-MPI BLAST run.
 #[derive(Debug, Clone)]
@@ -41,12 +64,10 @@ pub struct MrBlastConfig {
     /// Engine parameters (passed through to the serial searcher unchanged —
     /// the paper's "easy to support any of the multitudes of options").
     pub params: SearchParams,
-    /// Task assignment policy; the paper uses master-worker.
-    pub map_style: MapStyle,
-    /// Use the locality-aware master (the paper's future-work scheduler):
-    /// workers preferentially receive work units for the DB partition they
-    /// already hold. Only effective with [`MapStyle::MasterWorker`].
-    pub locality_aware: bool,
+    /// Work-unit assignment, and the fault settings of the master-worker
+    /// schedules. The default is a fault-free-configured
+    /// [`Schedule::MasterWorker`].
+    pub schedule: Schedule,
     /// Query blocks per MapReduce iteration (`0` = all blocks in one
     /// iteration). Controls the intermediate key-value working set.
     pub blocks_per_iteration: usize,
@@ -61,11 +82,12 @@ pub struct MrBlastConfig {
     /// MapReduce engine settings (page size, memory budget, spill dir).
     pub mr_settings: Settings,
     /// Directory for the durable restart checkpoint (`None` = no
-    /// checkpointing). After every completed iteration, rank 0 atomically
-    /// records the finished query blocks and each rank's output-file offset;
-    /// a restarted run with the same configuration skips finished iterations
-    /// and truncates partial output back to the last consistent offset, so
-    /// the final files are bit-for-bit those of an uninterrupted run.
+    /// checkpointing). After every completed iteration, the lowest live
+    /// rank atomically records the finished query blocks and each rank's
+    /// output-file offset; a restarted run with the same configuration
+    /// skips finished iterations and truncates partial output back to the
+    /// last consistent offset, so the final files are bit-for-bit those of
+    /// an uninterrupted run.
     pub checkpoint_dir: Option<PathBuf>,
     /// Stop (cleanly, on every rank) after this many iterations have been
     /// executed *by this run* — a deterministic simulated crash for
@@ -78,8 +100,7 @@ impl MrBlastConfig {
     pub fn blastn() -> Self {
         MrBlastConfig {
             params: SearchParams::blastn(),
-            map_style: MapStyle::MasterWorker,
-            locality_aware: false,
+            schedule: Schedule::MasterWorker(FaultConfig::default()),
             blocks_per_iteration: 0,
             output_dir: None,
             exclude_self: false,
@@ -140,28 +161,84 @@ pub struct MrBlastRankReport {
     pub finish_time: f64,
     /// Work units quarantined as poison by the fault-tolerant scheduler,
     /// encoded as `global_block * nparts + partition` and sorted; identical
-    /// on every surviving rank. Always empty outside [`run_mrblast_ft`] —
+    /// on every surviving rank. Always empty under the static schedules —
     /// non-empty means the run completed with partial results, and these
     /// `(query block, DB partition)` pairs contributed no hits.
     pub quarantined: Vec<u64>,
 }
 
+/// Where the driver's query blocks come from.
+pub(crate) enum Queries<'a> {
+    /// Blocks split up front and held in memory.
+    Blocks(&'a [Vec<SeqRecord>]),
+    /// Record ranges of an indexed FASTA file, read when a unit needs them.
+    Indexed {
+        /// Offset index of the query file.
+        index: &'a FastaIndex,
+        /// `[start, end)` record range of each block.
+        ranges: &'a [(usize, usize)],
+    },
+}
+
+impl Queries<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Queries::Blocks(blocks) => blocks.len(),
+            Queries::Indexed { ranges, .. } => ranges.len(),
+        }
+    }
+
+    fn block(&self, i: usize) -> Cow<'_, [SeqRecord]> {
+        match self {
+            Queries::Blocks(blocks) => Cow::Borrowed(&blocks[i]),
+            Queries::Indexed { index, ranges } => {
+                let (start, end) = ranges[i];
+                Cow::Owned(index.read_range(start, end).expect("read query range"))
+            }
+        }
+    }
+}
+
 /// Run MR-MPI BLAST collectively. Must be called by every rank of `comm`
 /// with identical arguments.
+///
+/// With a master-worker [`Schedule`] (the default) a worker that dies
+/// mid-run loses its cached state and every pair it emitted; the master
+/// re-dispatches all of its work units to survivors, and both the map and
+/// the shuffle end in cross-rank accounting, so the surviving ranks'
+/// combined output is **bit-for-bit the serial output** — or every live
+/// rank returns the same typed error. The master is a *role*, not a rank:
+/// if the acting master dies mid-iteration the scheduler elects a
+/// successor, replays the replicated dispatch log, and the iteration
+/// completes (see [`mrmpi::sched`]). Only startup (checkpoint load before
+/// any unit is dispatched) assumes rank 0 is alive. The legacy fail-fast
+/// behaviour is available via [`FaultConfig::abort_on_master_loss`].
 pub fn run_mrblast(
     comm: &Comm,
     db: &BlastDb,
     query_blocks: &[Vec<SeqRecord>],
     cfg: &MrBlastConfig,
-) -> MrBlastRankReport {
+) -> Result<MrBlastRankReport, MrError> {
+    drive(comm, db, &Queries::Blocks(query_blocks), cfg)
+}
+
+/// The BLAST driver behind [`run_mrblast`] and
+/// [`crate::adaptive::run_mrblast_adaptive`].
+pub(crate) fn drive(
+    comm: &Comm,
+    db: &BlastDb,
+    queries: &Queries<'_>,
+    cfg: &MrBlastConfig,
+) -> Result<MrBlastRankReport, MrError> {
     let searcher = BlastSearcher::new(cfg.params);
     let nparts = db.num_partitions();
-    let nblocks = query_blocks.len();
+    let nblocks = queries.len();
     let per_iter = if cfg.blocks_per_iteration == 0 {
         nblocks.max(1)
     } else {
         cfg.blocks_per_iteration
     };
+    let master_worker = matches!(cfg.schedule, Schedule::MasterWorker(_) | Schedule::Locality(_));
 
     let mut report = MrBlastRankReport {
         rank: comm.rank(),
@@ -209,17 +286,17 @@ pub fn run_mrblast(
     let mut iter_start = restart.start_block;
     while iter_start < nblocks {
         let iter_end = (iter_start + per_iter).min(nblocks);
-        let iter_blocks = &query_blocks[iter_start..iter_end];
-        let ntasks = iter_blocks.len() * nparts;
+        let nblocks_iter = iter_end - iter_start;
+        let ntasks = nblocks_iter * nparts;
         let _iter_span = obs::maybe_span(comm.obs(), "blast.iteration");
 
         let mut mr = MapReduce::with_settings(comm, cfg.mr_settings.clone());
-        let nblocks_iter = iter_blocks.len();
-        let mut map_body = |task: usize, kv: &mut mrmpi::KvEmitter<'_>| {
+        // The work unit: one (query block, DB partition) search.
+        let mut unit = |task: usize, kv: &mut mrmpi::KvEmitter<'_>| {
             // Partition-major order: consecutive tasks share a partition, so
             // sequential assignment reuses the cached DB object.
             let part_idx = task / nblocks_iter;
-            let block_idx = task % nblocks_iter;
+            let global_block = iter_start + task % nblocks_iter;
 
             counters.borrow_mut().0 += 1;
 
@@ -235,16 +312,21 @@ pub fn run_mrblast(
                     o.add("blast.db_loads", 1);
                 }
                 *db_slot = Some((part_idx, part));
+                if master_worker {
+                    // A cold DB partition load can dominate a work unit;
+                    // tell the master we are alive so the deadline detector
+                    // does not start speculating against a healthy worker.
+                    mrmpi::sched::ft_beacon(comm);
+                }
             }
             let (_, part) = db_slot.as_ref().expect("cache just filled");
 
             // Prepared-query cache (global block index across iterations).
-            let global_block = iter_start + block_idx;
             let mut q_slot = q_cache.borrow_mut();
             let rebuild = !matches!(&*q_slot, Some((idx, _)) if *idx == global_block);
             if rebuild {
                 let t0 = Instant::now();
-                let prepared = searcher.prepare_queries(&iter_blocks[block_idx]);
+                let prepared = searcher.prepare_queries(&queries.block(global_block));
                 comm.charge(t0.elapsed().as_secs_f64());
                 *q_slot = Some((global_block, prepared));
             }
@@ -266,14 +348,37 @@ pub fn run_mrblast(
                 kv.emit(hit.query_id.as_bytes(), &hit.encode());
             }
         };
-        if cfg.locality_aware && cfg.map_style == MapStyle::MasterWorker {
-            let affinity: Vec<usize> = (0..ntasks).map(|t| t / nblocks_iter).collect();
-            mr.map_tasks_affinity(ntasks, &affinity, &mut map_body);
-        } else {
-            mr.map_tasks(ntasks, cfg.map_style, &mut map_body);
+        let quarantined = match &cfg.schedule {
+            Schedule::Chunk => {
+                mr.map_tasks(ntasks, MapStyle::Chunk, &mut unit);
+                Vec::new()
+            }
+            Schedule::RoundRobin => {
+                mr.map_tasks(ntasks, MapStyle::RoundRobin, &mut unit);
+                Vec::new()
+            }
+            Schedule::MasterWorker(fault) => {
+                mr.map_tasks_ft_report(ntasks, &fault.ft, DispatchPolicy::Fifo, &mut unit)?
+                    .quarantined
+            }
+            Schedule::Locality(fault) => {
+                let partition: Vec<usize> = (0..ntasks).map(|t| t / nblocks_iter).collect();
+                let policy = DispatchPolicy::Affinity(&partition);
+                mr.map_tasks_ft_report(ntasks, &fault.ft, policy, &mut unit)?.quarantined
+            }
+        };
+        // Re-encode this iteration's quarantined scheduler units (partition-
+        // major within the iteration) as stable global `(block, partition)`
+        // ids so the final report is meaningful across iterations.
+        for unit in quarantined {
+            let part_idx = unit / nblocks_iter as u64;
+            let global_block = (iter_start + unit as usize % nblocks_iter) as u64;
+            report.quarantined.push(global_block * nparts as u64 + part_idx);
         }
 
-        mr.collate();
+        // Checked shuffle + local grouping (collate() with accounting).
+        mr.try_aggregate()?;
+        mr.convert();
 
         let max_hits = cfg.params.max_hits_per_query;
         mr.reduce(&mut |key, values, _out| {
@@ -307,194 +412,6 @@ pub fn run_mrblast(
         }
         if cfg.stop_after_iterations == Some(iters_this_run) {
             break; // Deterministic on every rank: the simulated crash point.
-        }
-    }
-
-    if let Some(mut f) = out_file {
-        f.flush().expect("flush rank output");
-    }
-    comm.barrier();
-
-    let (map_calls, db_loads) = *counters.borrow();
-    report.map_calls = map_calls;
-    report.db_loads = db_loads;
-    report.busy = busy.into_inner();
-    report.finish_time = comm.now();
-    report
-}
-
-/// Run MR-MPI BLAST collectively with **worker-death recovery**: like
-/// [`run_mrblast`], but scheduled through the fault-tolerant master-worker
-/// protocol of [`mrmpi::sched`]. A worker that dies mid-run loses its cached
-/// state and every pair it emitted; the master re-dispatches all of its work
-/// units to survivors, and both the map and the shuffle end in cross-rank
-/// accounting, so the surviving ranks' combined output is **bit-for-bit the
-/// serial output** — or every live rank returns the same typed error.
-///
-/// `cfg.map_style` and `cfg.locality_aware` are ignored: fault tolerance
-/// requires the dynamic master. The master is a *role*, not a rank — if the
-/// acting master dies mid-iteration the scheduler elects a successor,
-/// replays the replicated dispatch log, and the iteration completes (see
-/// [`mrmpi::sched`]); the per-iteration restart checkpoint is written by
-/// the lowest live rank ([`crate::ckpt::record_iteration`]), so
-/// checkpointing also survives rank 0. Only startup (checkpoint load before
-/// any unit is dispatched) assumes rank 0 is alive. The legacy fail-fast
-/// behaviour is available via [`FaultConfig::abort_on_master_loss`].
-pub fn run_mrblast_ft(
-    comm: &Comm,
-    db: &BlastDb,
-    query_blocks: &[Vec<SeqRecord>],
-    cfg: &MrBlastConfig,
-    fault: &FaultConfig,
-) -> Result<MrBlastRankReport, MrError> {
-    let searcher = BlastSearcher::new(cfg.params);
-    let nparts = db.num_partitions();
-    let nblocks = query_blocks.len();
-    let per_iter = if cfg.blocks_per_iteration == 0 {
-        nblocks.max(1)
-    } else {
-        cfg.blocks_per_iteration
-    };
-
-    let mut report = MrBlastRankReport {
-        rank: comm.rank(),
-        hits: Vec::new(),
-        output_file: None,
-        map_calls: 0,
-        db_loads: 0,
-        busy: BusyTracker::new(),
-        finish_time: 0.0,
-        quarantined: Vec::new(),
-    };
-
-    let fp = RunFingerprint {
-        nblocks: nblocks as u64,
-        nparts: nparts as u64,
-        per_iter: per_iter as u64,
-        nranks: comm.size() as u64,
-    };
-    let restart = match &cfg.checkpoint_dir {
-        Some(dir) => ckpt::plan_restart(comm, dir, &fp),
-        None => RestartPoint::fresh(),
-    };
-
-    let mut out_file = match &cfg.output_dir {
-        Some(dir) => {
-            let (path, f) = open_rank_output(dir, comm.rank(), restart.my_offset);
-            report.output_file = Some(path);
-            Some(f)
-        }
-        None => None,
-    };
-    let mut out_offset: u64 = restart.my_offset;
-
-    let db_cache: RefCell<Option<(usize, DbPartition)>> = RefCell::new(None);
-    let q_cache: RefCell<Option<(usize, PreparedQueries)>> = RefCell::new(None);
-    let counters: RefCell<(u64, u64)> = RefCell::new((0, 0)); // (map_calls, db_loads)
-    let busy: RefCell<BusyTracker> = RefCell::new(BusyTracker::new());
-
-    let mut iters_this_run = 0usize;
-    let mut iter_start = restart.start_block;
-    while iter_start < nblocks {
-        let iter_end = (iter_start + per_iter).min(nblocks);
-        let iter_blocks = &query_blocks[iter_start..iter_end];
-        let ntasks = iter_blocks.len() * nparts;
-        let _iter_span = obs::maybe_span(comm.obs(), "blast.iteration");
-
-        let mut mr = MapReduce::with_settings(comm, cfg.mr_settings.clone());
-        let nblocks_iter = iter_blocks.len();
-        let ft_report = mr.map_tasks_ft_report(ntasks, &fault.ft, &mut |task, kv| {
-            let part_idx = task / nblocks_iter;
-            let block_idx = task % nblocks_iter;
-
-            counters.borrow_mut().0 += 1;
-
-            let mut db_slot = db_cache.borrow_mut();
-            let reload = !matches!(&*db_slot, Some((idx, _)) if *idx == part_idx);
-            if reload {
-                let t0 = Instant::now();
-                let part = db.load_partition(part_idx).expect("load DB partition");
-                comm.charge(t0.elapsed().as_secs_f64());
-                counters.borrow_mut().1 += 1;
-                if let Some(o) = comm.obs() {
-                    o.add("blast.db_loads", 1);
-                }
-                *db_slot = Some((part_idx, part));
-                // A cold DB partition load can dominate a work unit; tell the
-                // master we are alive so the deadline detector does not start
-                // speculating against a healthy worker.
-                mrmpi::sched::ft_beacon(comm);
-            }
-            let (_, part) = db_slot.as_ref().expect("cache just filled");
-
-            let global_block = iter_start + block_idx;
-            let mut q_slot = q_cache.borrow_mut();
-            let rebuild = !matches!(&*q_slot, Some((idx, _)) if *idx == global_block);
-            if rebuild {
-                let t0 = Instant::now();
-                let prepared = searcher.prepare_queries(&iter_blocks[block_idx]);
-                comm.charge(t0.elapsed().as_secs_f64());
-                *q_slot = Some((global_block, prepared));
-            }
-            let (_, prepared) = q_slot.as_ref().expect("cache just filled");
-
-            let clock_start = comm.now();
-            let t0 = Instant::now();
-            let hits =
-                searcher.search_partition(prepared, part, db.total_residues, db.total_sequences);
-            let elapsed = t0.elapsed().as_secs_f64();
-            comm.charge(elapsed);
-            busy.borrow_mut().record(clock_start, clock_start + elapsed);
-
-            for hit in hits {
-                if cfg.exclude_self && is_self_hit(&hit) {
-                    continue;
-                }
-                kv.emit(hit.query_id.as_bytes(), &hit.encode());
-            }
-        })?;
-        // Re-encode this iteration's quarantined scheduler units (partition-
-        // major within the iteration) as stable global `(block, partition)`
-        // ids so the final report is meaningful across iterations.
-        for unit in &ft_report.quarantined {
-            let part_idx = *unit as usize / nblocks_iter;
-            let block_idx = *unit as usize % nblocks_iter;
-            let global_block = (iter_start + block_idx) as u64;
-            report.quarantined.push(global_block * nparts as u64 + part_idx as u64);
-        }
-
-        // Checked shuffle + local grouping (collate() with accounting).
-        mr.try_aggregate()?;
-        mr.convert();
-
-        let max_hits = cfg.params.max_hits_per_query;
-        mr.reduce(&mut |key, values, _out| {
-            let mut hits: Vec<Hit> = values.map(Hit::decode).collect();
-            sort_and_truncate(&mut hits, max_hits);
-            debug_assert!(hits.iter().all(|h| h.query_id.as_bytes() == key));
-            if let Some(f) = out_file.as_mut() {
-                for h in &hits {
-                    let line = tabular_line(h);
-                    out_offset += line.len() as u64 + 1;
-                    writeln!(f, "{line}").expect("write hit line");
-                }
-            }
-            report.hits.extend(hits);
-        });
-
-        iter_start = iter_end;
-        iters_this_run += 1;
-
-        if let Some(dir) = &cfg.checkpoint_dir {
-            if let Some(f) = out_file.as_mut() {
-                f.flush().expect("flush rank output");
-                f.get_ref().sync_all().expect("sync rank output");
-            }
-            let faults = cfg.mr_settings.disk_faults.as_deref();
-            let _ = ckpt::record_iteration(comm, dir, &fp, iter_end as u64, out_offset, faults);
-        }
-        if cfg.stop_after_iterations == Some(iters_this_run) {
-            break;
         }
     }
 
@@ -569,7 +486,7 @@ mod tests {
         for ranks in [1, 2, 4] {
             let fx2 = fx.clone();
             let reports = World::new(ranks).run(move |comm| {
-                run_mrblast(comm, &fx2.db, &fx2.blocks, &MrBlastConfig::blastn())
+                run_mrblast(comm, &fx2.db, &fx2.blocks, &MrBlastConfig::blastn()).unwrap()
             });
             let parallel: Vec<Hit> =
                 reports.into_iter().flat_map(|r| r.hits).collect();
@@ -586,7 +503,7 @@ mod tests {
         let fx = Arc::new(fixture(22, "onerank"));
         let fx2 = fx.clone();
         let reports = World::new(3).run(move |comm| {
-            run_mrblast(comm, &fx2.db, &fx2.blocks, &MrBlastConfig::blastn())
+            run_mrblast(comm, &fx2.db, &fx2.blocks, &MrBlastConfig::blastn()).unwrap()
         });
         let mut owners: std::collections::HashMap<String, usize> = Default::default();
         for rep in &reports {
@@ -612,7 +529,7 @@ mod tests {
                     blocks_per_iteration,
                     ..MrBlastConfig::blastn()
                 };
-                run_mrblast(comm, &fx.db, &fx.blocks, &cfg)
+                run_mrblast(comm, &fx.db, &fx.blocks, &cfg).unwrap()
             });
             sorted(reports.into_iter().flat_map(|r| r.hits).collect())
         };
@@ -623,17 +540,17 @@ mod tests {
     #[test]
     fn mapstyles_agree() {
         let fx = Arc::new(fixture(24, "styles"));
-        let run_with = |style: MapStyle| {
+        let run_with = |style: Schedule| {
             let fx = fx.clone();
             let reports = World::new(3).run(move |comm| {
-                let cfg = MrBlastConfig { map_style: style, ..MrBlastConfig::blastn() };
-                run_mrblast(comm, &fx.db, &fx.blocks, &cfg)
+                let cfg = MrBlastConfig { schedule: style.clone(), ..MrBlastConfig::blastn() };
+                run_mrblast(comm, &fx.db, &fx.blocks, &cfg).unwrap()
             });
             sorted(reports.into_iter().flat_map(|r| r.hits).collect())
         };
-        let mw = run_with(MapStyle::MasterWorker);
-        assert_eq!(mw, run_with(MapStyle::Chunk));
-        assert_eq!(mw, run_with(MapStyle::RoundRobin));
+        let mw = run_with(Schedule::MasterWorker(FaultConfig::default()));
+        assert_eq!(mw, run_with(Schedule::Chunk));
+        assert_eq!(mw, run_with(Schedule::RoundRobin));
     }
 
     #[test]
@@ -647,7 +564,7 @@ mod tests {
                 output_dir: Some(od.clone()),
                 ..MrBlastConfig::blastn()
             };
-            run_mrblast(comm, &fx2.db, &fx2.blocks, &cfg)
+            run_mrblast(comm, &fx2.db, &fx2.blocks, &cfg).unwrap()
         });
         let mut lines = 0usize;
         for rep in &reports {
@@ -685,7 +602,7 @@ mod tests {
             let blocks = blocks.clone();
             let reports = World::new(2).run(move |comm| {
                 let cfg = MrBlastConfig { exclude_self: exclude, ..MrBlastConfig::blastn() };
-                run_mrblast(comm, &db, &blocks, &cfg)
+                run_mrblast(comm, &db, &blocks, &cfg).unwrap()
             });
             reports.into_iter().flat_map(|r| r.hits).collect::<Vec<Hit>>()
         };
@@ -705,8 +622,13 @@ mod tests {
         let run_with = |locality: bool| {
             let fx = fx.clone();
             let reports = World::new(4).run(move |comm| {
-                let cfg = MrBlastConfig { locality_aware: locality, ..MrBlastConfig::blastn() };
-                run_mrblast(comm, &fx.db, &fx.blocks, &cfg)
+                let schedule = if locality {
+                    Schedule::Locality(FaultConfig::default())
+                } else {
+                    Schedule::MasterWorker(FaultConfig::default())
+                };
+                let cfg = MrBlastConfig { schedule, ..MrBlastConfig::blastn() };
+                run_mrblast(comm, &fx.db, &fx.blocks, &cfg).unwrap()
             });
             let loads: u64 = reports.iter().map(|r| r.db_loads).sum();
             let hits = sorted(reports.into_iter().flat_map(|r| r.hits).collect::<Vec<_>>());
@@ -726,14 +648,8 @@ mod tests {
         let fx = Arc::new(fixture(41, "ftclean"));
         let fx2 = fx.clone();
         let reports = World::new(3).run(move |comm| {
-            run_mrblast_ft(
-                comm,
-                &fx2.db,
-                &fx2.blocks,
-                &MrBlastConfig::blastn(),
-                &FaultConfig::default(),
-            )
-            .expect("no faults injected")
+            run_mrblast(comm, &fx2.db, &fx2.blocks, &MrBlastConfig::blastn())
+                .expect("no faults injected")
         });
         let parallel: Vec<Hit> = reports.into_iter().flat_map(|r| r.hits).collect();
         assert_eq!(
@@ -750,13 +666,7 @@ mod tests {
         let fx2 = fx.clone();
         let plan = FaultPlan::new(7).kill(2, 0.0);
         let outcomes = World::new(4).with_faults(plan).run_faulty(move |comm| {
-            run_mrblast_ft(
-                comm,
-                &fx2.db,
-                &fx2.blocks,
-                &MrBlastConfig::blastn(),
-                &FaultConfig::default(),
-            )
+            run_mrblast(comm, &fx2.db, &fx2.blocks, &MrBlastConfig::blastn())
         });
         assert!(outcomes[2].is_died(), "rank 2 was scheduled to die");
         let mut hits = Vec::new();
@@ -784,7 +694,7 @@ mod tests {
         let nblocks = fx.blocks.len() as u64;
         let fx2 = fx.clone();
         let reports = World::new(1).run(move |comm| {
-            run_mrblast(comm, &fx2.db, &fx2.blocks, &MrBlastConfig::blastn())
+            run_mrblast(comm, &fx2.db, &fx2.blocks, &MrBlastConfig::blastn()).unwrap()
         });
         let rep = &reports[0];
         assert_eq!(rep.map_calls, nparts * nblocks);

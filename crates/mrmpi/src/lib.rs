@@ -62,5 +62,5 @@ pub use durable::{DiskFaultPlan, DurableError};
 pub use kmv::KeyMultiValue;
 pub use kv::{KeyValue, KvEmitter, KvError};
 pub use mapreduce::{read_poison_log, FtMapReport, MapReduce, MrError, MultiValues};
-pub use sched::{FtConfig, FtRun, MapStyle, SchedError};
+pub use sched::{DispatchPolicy, FtConfig, FtRun, MapStyle, SchedError};
 pub use settings::Settings;

@@ -14,7 +14,9 @@ use crate::durable::{self, DurableError};
 use crate::hashfn::{fnv1a, key_owner};
 use crate::kmv::{KeyMultiValue, ValueCursor};
 use crate::kv::{decode_entry, encode_entry, validate_page, KeyValue, KvEmitter, KvError};
-use crate::sched::{assign_and_run, assign_and_run_ft_report, FtConfig, MapStyle, SchedError};
+use crate::sched::{
+    assign_and_run, assign_and_run_ft_report, DispatchPolicy, FtConfig, MapStyle, SchedError,
+};
 use crate::settings::Settings;
 
 /// Alias for the value cursor handed to reduce callbacks.
@@ -23,9 +25,18 @@ pub type MultiValues<'a> = ValueCursor<'a>;
 /// Pair-wise transform callback handed to [`MapReduce::map_kv`].
 pub type KvMapFn<'a> = dyn FnMut(&[u8], &[u8], &mut KvEmitter<'_>) + 'a;
 
+/// How a map call assigns its tasks to ranks.
+enum Assign<'a> {
+    /// A static mapstyle (`Chunk` or `RoundRobin`): each task runs on the
+    /// rank it falls to, with nothing staged or retried.
+    Static(MapStyle),
+    /// The fault-tolerant master-worker scheduler.
+    Master(&'a FtConfig, DispatchPolicy<'a>),
+}
+
 /// Typed failure of a fault-tolerant MapReduce operation.
 ///
-/// The fault-tolerant entry points ([`MapReduce::map_tasks_ft`],
+/// The fault-tolerant entry points ([`MapReduce::map_tasks_ft_report`],
 /// [`MapReduce::try_aggregate`]) guarantee that every live rank returns the
 /// same success/failure verdict: error status is itself combined with an
 /// allreduce before any rank returns, so callers can bail out consistently
@@ -266,96 +277,46 @@ impl<'c> MapReduce<'c> {
     /// of emitted pairs.
     ///
     /// The map callback receives the global task index and an emitter.
+    /// `MasterWorker` runs on the fault-tolerant scheduler with default
+    /// [`FtConfig`] and FIFO dispatch, and this entry point is the strict
+    /// check on its report: a scheduler error or a quarantined unit panics
+    /// (every live rank reaches the same verdict). Use
+    /// [`MapReduce::map_tasks_ft_report`] to get either as data instead.
     pub fn map_tasks(
         &mut self,
         ntasks: usize,
         style: MapStyle,
         f: &mut dyn FnMut(usize, &mut KvEmitter<'_>),
     ) -> u64 {
-        if let Some(old) = self.kmv.take() {
-            self.retire_kmv(&old);
+        let cfg = FtConfig::default();
+        let assign = match style {
+            MapStyle::MasterWorker => Assign::Master(&cfg, DispatchPolicy::Fifo),
+            local => Assign::Static(local),
+        };
+        match self.map_core(ntasks, assign, f, &mut |_, _| {}) {
+            Ok(report) if report.quarantined.is_empty() => report.pairs,
+            Ok(report) => panic!("map_tasks: units {:?} quarantined as poison", report.quarantined),
+            Err(e) => panic!("map_tasks: {e}"),
         }
-        if let Some(old) = self.kv.take() {
-            self.retire_kv(&old);
-        }
-        let (_span, spills0) = self.obs_phase("mr.map");
-        let mut kv = KeyValue::new(&self.settings);
-        assign_and_run(self.comm, ntasks, style, |task| {
-            let mut em = KvEmitter::new(&mut kv);
-            f(task, &mut em);
-        });
-        let local = kv.npairs();
-        self.kv = Some(kv);
-        self.obs_phase_end(spills0, local);
-        self.global_count(local)
     }
 
-    /// Collective. Like [`MapReduce::map_tasks`] with the master-worker
-    /// style, but the master schedules with **resource affinity**:
-    /// `affinity[t]` names the resource (e.g. DB partition) task `t` needs,
-    /// and workers preferentially receive tasks for the resource they
-    /// already hold — the paper's proposed locality-aware scheduler.
-    pub fn map_tasks_affinity(
-        &mut self,
-        ntasks: usize,
-        affinity: &[usize],
-        f: &mut dyn FnMut(usize, &mut KvEmitter<'_>),
-    ) -> u64 {
-        if let Some(old) = self.kmv.take() {
-            self.retire_kmv(&old);
-        }
-        if let Some(old) = self.kv.take() {
-            self.retire_kv(&old);
-        }
-        let (_span, spills0) = self.obs_phase("mr.map");
-        let mut kv = KeyValue::new(&self.settings);
-        crate::sched::assign_and_run_affinity(self.comm, ntasks, affinity, |task| {
-            let mut em = KvEmitter::new(&mut kv);
-            f(task, &mut em);
-        });
-        let local = kv.npairs();
-        self.kv = Some(kv);
-        self.obs_phase_end(spills0, local);
-        self.global_count(local)
-    }
-
-    /// Collective. Like [`MapReduce::map_tasks`] with the master-worker
-    /// style, but scheduled **fault-tolerantly**: worker deaths are detected,
-    /// their units (in flight *and* already completed — the emitted pairs
-    /// died with the rank) are re-dispatched to survivors, and the run ends
-    /// with a cross-rank reconciliation proving every unit contributed to
-    /// the surviving output exactly once.
+    /// Collective. The partial-result-aware master-worker map: the tasks run
+    /// on the fault-tolerant scheduler ([`crate::sched`]) configured by
+    /// `cfg`, with `policy` choosing which pending task a worker gets next.
+    /// Worker deaths are detected and their units (in flight *and* already
+    /// completed — the emitted pairs died with the rank) are re-dispatched
+    /// to survivors; the run ends with a cross-rank reconciliation proving
+    /// every unit contributed to the surviving output exactly once.
+    ///
+    /// A work unit that keeps panicking is *quarantined* (after
+    /// [`FtConfig::poison_retries`] attempts) instead of failing the run,
+    /// and the returned report names every quarantined unit on every rank.
+    /// When [`Settings::poison_log`] is set, the final acting master (rank 0
+    /// unless a failover promoted a successor) also appends the quarantined
+    /// units to that durable CRC-framed log.
     ///
     /// Every live rank returns the same `Ok`/`Err` verdict. On `Err` the
-    /// engine holds no KV dataset. A quarantined (poison) unit is an error
-    /// for this strict entry point — use [`MapReduce::map_tasks_ft_report`]
-    /// to accept an explicit partial result instead.
-    ///
-    /// Returns the global number of emitted pairs on the surviving ranks.
-    pub fn map_tasks_ft(
-        &mut self,
-        ntasks: usize,
-        cfg: &FtConfig,
-        f: &mut dyn FnMut(usize, &mut KvEmitter<'_>),
-    ) -> Result<u64, MrError> {
-        let report = self.map_tasks_ft_report(ntasks, cfg, f)?;
-        if !report.quarantined.is_empty() {
-            return Err(MrError::DataLost {
-                what: "map units quarantined as poison",
-                expected: ntasks as u64,
-                got: ntasks as u64 - report.quarantined.len() as u64,
-            });
-        }
-        Ok(report.pairs)
-    }
-
-    /// Collective. The partial-result-aware fault-tolerant map: like
-    /// [`MapReduce::map_tasks_ft`], but a work unit that keeps panicking is
-    /// *quarantined* (after [`FtConfig::poison_retries`] attempts) instead of
-    /// failing the run, and the returned report names every quarantined unit
-    /// on every rank. When [`Settings::poison_log`] is set, the final acting
-    /// master (rank 0 unless a failover promoted a successor) also appends
-    /// the quarantined units to that durable CRC-framed log.
+    /// engine holds no KV dataset.
     ///
     /// Map emissions are **staged** per unit and only published when the
     /// master's first-result-wins verdict commits them, so with speculative
@@ -365,9 +326,10 @@ impl<'c> MapReduce<'c> {
         &mut self,
         ntasks: usize,
         cfg: &FtConfig,
+        policy: DispatchPolicy<'_>,
         f: &mut dyn FnMut(usize, &mut KvEmitter<'_>),
     ) -> Result<FtMapReport, MrError> {
-        self.map_tasks_ft_report_with_verdict(ntasks, cfg, f, &mut |_, _| {})
+        self.map_core(ntasks, Assign::Master(cfg, policy), f, &mut |_, _| {})
     }
 
     /// [`MapReduce::map_tasks_ft_report`] with the scheduler's per-execution
@@ -384,6 +346,18 @@ impl<'c> MapReduce<'c> {
         &mut self,
         ntasks: usize,
         cfg: &FtConfig,
+        policy: DispatchPolicy<'_>,
+        f: &mut dyn FnMut(usize, &mut KvEmitter<'_>),
+        on_verdict: &mut dyn FnMut(usize, bool),
+    ) -> Result<FtMapReport, MrError> {
+        self.map_core(ntasks, Assign::Master(cfg, policy), f, on_verdict)
+    }
+
+    /// The one map implementation behind every public entry point.
+    fn map_core(
+        &mut self,
+        ntasks: usize,
+        assign: Assign<'_>,
         f: &mut dyn FnMut(usize, &mut KvEmitter<'_>),
         on_verdict: &mut dyn FnMut(usize, bool),
     ) -> Result<FtMapReport, MrError> {
@@ -394,14 +368,26 @@ impl<'c> MapReduce<'c> {
             self.retire_kv(&old);
         }
         let (_span, spills0) = self.obs_phase("mr.map");
+        let (cfg, policy) = match assign {
+            Assign::Master(cfg, policy) => (cfg, policy),
+            Assign::Static(style) => {
+                let mut kv = KeyValue::new(&self.settings);
+                assign_and_run(self.comm, ntasks, style, |task| {
+                    f(task, &mut KvEmitter::new(&mut kv));
+                });
+                let local = kv.npairs();
+                self.kv = Some(kv);
+                self.obs_phase_end(spills0, local);
+                let pairs = self.global_count(local);
+                return Ok(FtMapReport { pairs, quarantined: Vec::new() });
+            }
+        };
         let kv = std::cell::RefCell::new(KeyValue::new(&self.settings));
         let staging: std::cell::RefCell<Option<KeyValue>> = std::cell::RefCell::new(None);
         let settings = self.settings.clone();
-        // Master failover must be enabled in both the scheduler config and
-        // the engine settings; the scheduler log shares the engine's disk
-        // fault plan unless the caller installed its own.
+        // The scheduler log shares the engine's disk fault plan unless the
+        // caller installed its own.
         let mut cfg = cfg.clone();
-        cfg.failover = cfg.failover && self.settings.master_failover;
         if cfg.log_faults.is_none() {
             cfg.log_faults = self.settings.disk_faults.clone();
         }
@@ -410,6 +396,7 @@ impl<'c> MapReduce<'c> {
             self.comm,
             ntasks,
             cfg,
+            policy,
             &mut |task| {
                 let mut skv = KeyValue::new(&settings);
                 {
@@ -430,18 +417,6 @@ impl<'c> MapReduce<'c> {
             },
         );
         let kv = kv.into_inner();
-        if self.comm.size() == 1 {
-            let run = sched?;
-            if let Some(path) = &self.settings.poison_log {
-                if !run.quarantined.is_empty() {
-                    append_poison_log(path, &run.quarantined, self.settings.disk_faults.as_deref())?;
-                }
-            }
-            let n = kv.npairs();
-            self.kv = Some(kv);
-            self.obs_phase_end(spills0, n);
-            return Ok(FtMapReport { pairs: n, quarantined: run.quarantined });
-        }
         // The final acting master — the only rank whose scheduler run
         // reports a non-empty quarantine, and after a failover not
         // necessarily rank 0 — persists the quarantine *before* the
@@ -568,79 +543,30 @@ impl<'c> MapReduce<'c> {
     // -------------------------------------------------------------- shuffle
 
     /// Collective. Re-distribute KV pairs so that every pair of a given key
-    /// lands on the rank `hash(key) % P`. Processes page-at-a-time with one
-    /// `alltoallv` per global page round, bounding memory to O(page size · P)
-    /// regardless of dataset size (the original exchanges page-wise for the
-    /// same reason).
+    /// lands on the rank `hash(key) % P`; returns the global pair count.
+    /// This is [`MapReduce::try_aggregate`] with its typed errors turned
+    /// into panics.
     ///
     /// # Panics
-    /// Panics if no KV dataset exists.
+    /// Panics if no KV dataset exists, or on any error `try_aggregate`
+    /// reports.
     pub fn aggregate(&mut self) -> u64 {
-        let (_span, spills0) = self.obs_phase("mr.aggregate");
-        let size = self.comm.size();
-        let kv = self.kv.take().expect("aggregate requires a KV dataset");
-        if size == 1 {
-            let n = kv.npairs();
-            self.kv = Some(kv);
-            self.obs_phase_end(spills0, 0);
-            return n;
-        }
-
-        // Agree on the number of exchange rounds: max local page count.
-        let local_pages = kv.num_pages() as f64;
-        let mut max_pages = [0.0f64];
-        self.comm.allreduce_f64(&[local_pages], &mut max_pages, mpisim::ReduceOp::Max);
-        let rounds = max_pages[0] as usize;
-
-        let mut incoming = KeyValue::new(&self.settings);
-
-        for round in 0..rounds {
-            let mut sends: Vec<Vec<u8>> = vec![Vec::new(); size];
-            let mut counts: Vec<u64> = vec![0; size];
-            if let Some(page) = kv.page_at(round) {
-                let mut pos = 0;
-                while pos < page.len() {
-                    let (k, v) = decode_entry(&page, &mut pos);
-                    let owner = key_owner(k, size);
-                    encode_entry(&mut sends[owner], k, v);
-                    counts[owner] += 1;
-                }
-            }
-            // Prefix each buffer with its pair count so the receiver can
-            // splice it in as a pre-encoded page.
-            let sends: Vec<Vec<u8>> = sends
-                .into_iter()
-                .zip(&counts)
-                .map(|(buf, &n)| {
-                    let mut msg = Vec::with_capacity(8 + buf.len());
-                    msg.extend_from_slice(&n.to_le_bytes());
-                    msg.extend_from_slice(&buf);
-                    msg
-                })
-                .collect();
-            let received = self.comm.alltoallv(sends);
-            for msg in received {
-                if msg.len() <= 8 {
-                    continue;
-                }
-                let n = u64::from_le_bytes(msg[..8].try_into().expect("count"));
-                incoming.add_encoded_page(msg[8..].to_vec(), n);
-            }
-        }
-
-        self.retire_kv(&kv);
-        let local = incoming.npairs();
-        self.kv = Some(incoming);
-        self.obs_phase_end(spills0, 0);
-        self.global_count(local)
+        self.try_aggregate().unwrap_or_else(|e| panic!("aggregate: {e}"))
     }
 
-    /// Collective. [`MapReduce::aggregate`] with end-to-end accounting:
-    /// every page received from a peer is validated before it is spliced in
-    /// (truncation/corruption surfaces as [`MrError::Corrupt`], never a
-    /// panic), and the global pair count must be conserved across the
-    /// shuffle ([`MrError::DataLost`] otherwise — e.g. a rank died between
-    /// the map and the exchange, taking its pairs with it).
+    /// Collective. Re-distribute KV pairs so that every pair of a given key
+    /// lands on one live rank, `hash(key) % live` over the agreed live set
+    /// (`hash(key) % P` when nothing has died). Processes page-at-a-time
+    /// with one `alltoallv` per global page round, bounding memory to
+    /// O(page size · P) regardless of dataset size (the original exchanges
+    /// page-wise for the same reason).
+    ///
+    /// The exchange is accounted end to end: every page received from a
+    /// peer is validated before it is spliced in (truncation/corruption
+    /// surfaces as [`MrError::Corrupt`], never a panic), and the global
+    /// pair count must be conserved across the shuffle
+    /// ([`MrError::DataLost`] otherwise — e.g. a rank died between the map
+    /// and the exchange, taking its pairs with it).
     ///
     /// Every live rank returns the same `Ok`/`Err` verdict. On `Err` the
     /// engine holds no KV dataset.
@@ -1298,17 +1224,18 @@ mod tests {
 
     // ---- fault-tolerant operations ----
 
-    use crate::sched::FtConfig;
+    use crate::sched::{DispatchPolicy, FtConfig};
     use mpisim::{FaultPlan, RankOutcome};
 
     #[test]
     fn map_tasks_ft_without_faults_matches_map_tasks() {
         let results = World::new(4).run(|comm| {
             let mut mr = MapReduce::new(comm);
-            mr.map_tasks_ft(30, &FtConfig::default(), &mut |t, kv| {
+            mr.map_tasks_ft_report(30, &FtConfig::default(), DispatchPolicy::Fifo, &mut |t, kv| {
                 kv.emit(&(t as u64).to_le_bytes(), b"done");
             })
             .expect("no faults injected")
+            .pairs
         });
         assert_eq!(results, vec![30, 30, 30, 30]);
     }
@@ -1320,9 +1247,11 @@ mod tests {
         let plan = FaultPlan::new(17).kill(2, 0.0);
         let outcomes = World::new(4).with_faults(plan).run_faulty(|comm| {
             let mut mr = MapReduce::new(comm);
-            let n = mr.map_tasks_ft(24, &FtConfig::default(), &mut |t, kv| {
-                kv.emit(&(t as u64).to_le_bytes(), b"x");
-            })?;
+            let n = mr
+                .map_tasks_ft_report(24, &FtConfig::default(), DispatchPolicy::Fifo, &mut |t, kv| {
+                    kv.emit(&(t as u64).to_le_bytes(), b"x");
+                })?
+                .pairs;
             // The shuffle must also conserve all 24 pairs.
             let after = mr.try_aggregate()?;
             Ok::<(u64, u64), MrError>((n, after))
@@ -1346,7 +1275,9 @@ mod tests {
         let plan = FaultPlan::new(29).kill(1, 0.0).kill(2, 0.0);
         let outcomes = World::new(3).with_faults(plan).run_faulty(|comm| {
             let mut mr = MapReduce::new(comm);
-            mr.map_tasks_ft(8, &FtConfig::default(), &mut |_, kv| kv.emit(b"k", b"v"))
+            mr.map_tasks_ft_report(8, &FtConfig::default(), DispatchPolicy::Fifo, &mut |_, kv| {
+                kv.emit(b"k", b"v")
+            })
         });
         match &outcomes[0] {
             RankOutcome::Done(Err(MrError::Sched(SchedError::AllWorkersDead))) => {}
@@ -1366,7 +1297,8 @@ mod tests {
             move |comm| {
             let settings = Settings { poison_log: Some(log.clone()), ..Settings::default() };
             let mut mr = MapReduce::with_settings(comm, settings);
-            let report = mr.map_tasks_ft_report(16, &FtConfig::default(), &mut |t, kv| {
+            let policy = DispatchPolicy::Fifo;
+            let report = mr.map_tasks_ft_report(16, &FtConfig::default(), policy, &mut |t, kv| {
                 kv.emit(&(t as u64).to_le_bytes(), b"x");
             })?;
             Ok::<FtMapReport, MrError>(report)
@@ -1384,17 +1316,18 @@ mod tests {
         }
         // The quarantine survives the run in the durable CRC-framed log.
         assert_eq!(read_poison_log(&log).unwrap(), vec![3, 9]);
-        // The strict entry point refuses partial results with a typed error.
-        let plan = FaultPlan::new(7).poison(5);
-        let outcomes = World::new(2).with_faults(plan).run_faulty(|comm| {
-            let mut mr = MapReduce::new(comm);
-            mr.map_tasks_ft(8, &FtConfig::default(), &mut |_, kv| kv.emit(b"k", b"v"))
-        });
-        match &outcomes[0] {
-            RankOutcome::Done(Err(MrError::DataLost { expected: 8, got: 7, .. })) => {}
-            other => panic!("strict entry point: {other:?}"),
-        }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    #[should_panic(expected = "quarantined as poison")]
+    fn strict_map_tasks_refuses_partial_results() {
+        let plan = FaultPlan::new(7).poison(5);
+        World::new(2).with_faults(plan).run(|comm| {
+            MapReduce::new(comm).map_tasks(8, MapStyle::MasterWorker, &mut |_, kv| {
+                kv.emit(b"k", b"v")
+            })
+        });
     }
 
     #[test]
@@ -1410,7 +1343,7 @@ mod tests {
                 move |comm| {
                 let settings = Settings { poison_log: Some(log.clone()), ..Settings::default() };
                 let mut mr = MapReduce::with_settings(comm, settings);
-                mr.map_tasks_ft_report(6, &FtConfig::default(), &mut |t, kv| {
+                mr.map_tasks_ft_report(6, &FtConfig::default(), DispatchPolicy::Fifo, &mut |t, kv| {
                     kv.emit(&[t as u8], b"v");
                 })
             }});

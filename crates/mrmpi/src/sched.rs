@@ -104,11 +104,33 @@ pub enum MapStyle {
     RoundRobin,
     /// Rank 0 is a dedicated master doling out tasks dynamically (original
     /// `mapstyle 2`); this is the load-balanced mode the paper's BLAST uses.
+    /// It runs on the fault-tolerant scheduler ([`assign_and_run_ft_report`])
+    /// with [`DispatchPolicy::Fifo`].
     MasterWorker,
+}
+
+/// How the master-worker scheduler picks the next pending unit for a worker
+/// that asks for work.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DispatchPolicy<'a> {
+    /// Units go out in index order (requeued units join the back).
+    Fifo,
+    /// The paper's locality-aware master: `affinity[t]` names the resource
+    /// (DB partition) unit `t` needs. A worker gets a unit of the resource it
+    /// was last handed while one remains; otherwise a unit of the resource
+    /// with the most pending units (ties to the first-seen resource), so
+    /// late-run workers spread across resources instead of piling onto one.
+    /// Units within a resource go out in index order. Degenerates to `Fifo`
+    /// when all affinities are equal.
+    Affinity(&'a [usize]),
 }
 
 /// Execute `run(task)` for every task index this rank is responsible for.
 /// Returns the task indices executed locally, in execution order.
+///
+/// `MasterWorker` runs on the fault-tolerant scheduler with default
+/// [`FtConfig`] and FIFO dispatch; `run` publishes directly, and a scheduler
+/// error or a quarantined unit panics on the rank that sees it.
 pub fn assign_and_run(
     comm: &Comm,
     ntasks: usize,
@@ -117,174 +139,33 @@ pub fn assign_and_run(
 ) -> Vec<usize> {
     let size = comm.size();
     let rank = comm.rank();
-    let mut mine = Vec::new();
-
-    if size == 1 {
-        for t in 0..ntasks {
-            run(t);
-            mine.push(t);
-        }
-        return mine;
-    }
-
-    match style {
-        MapStyle::Chunk => {
-            let lo = rank * ntasks / size;
-            let hi = (rank + 1) * ntasks / size;
-            for t in lo..hi {
-                run(t);
-                mine.push(t);
-            }
-        }
-        MapStyle::RoundRobin => {
-            let mut t = rank;
-            while t < ntasks {
-                run(t);
-                mine.push(t);
-                t += size;
-            }
-        }
+    let mine: Vec<usize> = match style {
+        MapStyle::Chunk => (rank * ntasks / size..(rank + 1) * ntasks / size).collect(),
+        MapStyle::RoundRobin => (rank..ntasks).step_by(size).collect(),
         MapStyle::MasterWorker => {
-            if rank == 0 {
-                master_loop(comm, ntasks);
-            } else {
-                loop {
-                    comm.send(0, TAG_REQ, Vec::new());
-                    let (reply, _) = comm.recv_u64s(0, TAG_TASK);
-                    let task = reply[0];
-                    if task == DONE {
-                        break;
-                    }
-                    run(task as usize);
-                    mine.push(task as usize);
-                }
-            }
+            let cfg = FtConfig::default();
+            let done = assign_and_run_ft_report(
+                comm,
+                ntasks,
+                &cfg,
+                DispatchPolicy::Fifo,
+                &mut run,
+                &mut |_, _| {},
+            )
+            .unwrap_or_else(|e| panic!("master-worker run failed: {e}"));
+            assert!(done.quarantined.is_empty(), "units {:?} kept panicking", done.quarantined);
+            return done.units;
         }
-    }
+    };
+    mine.iter().for_each(|&t| run(t));
     mine
-}
-
-/// The master side of the dynamic scheduler: serve requests until every
-/// worker has been told there is nothing left.
-fn master_loop(comm: &Comm, ntasks: usize) {
-    let workers = comm.size() - 1;
-    let mut next = 0u64;
-    let mut retired = 0;
-    while retired < workers {
-        let msg = comm.recv(ANY_SOURCE, TAG_REQ);
-        let who = msg.status.source;
-        if (next as usize) < ntasks {
-            comm.send_u64s(who, TAG_TASK, &[next]);
-            next += 1;
-        } else {
-            comm.send_u64s(who, TAG_TASK, &[DONE]);
-            retired += 1;
-        }
-    }
-}
-
-/// Execute tasks with a **locality-aware master** (the paper's future work:
-/// "improving the location-aware work unit scheduler in order to distribute
-/// the work unit tuples to those ranks that have already been processing
-/// the same DB partitions in as many cases as possible").
-///
-/// `affinity[t]` names the resource (DB partition) task `t` needs. The
-/// master remembers each worker's last resource and serves a matching task
-/// when one remains; otherwise it hands out a task from the resource with
-/// the most remaining work (so late-run workers spread across resources
-/// instead of piling onto one). Degenerates to plain dynamic scheduling
-/// when all affinities are distinct.
-///
-/// Returns the task indices executed locally, in execution order.
-///
-/// # Panics
-/// Panics if `affinity.len() != ntasks`.
-pub fn assign_and_run_affinity(
-    comm: &Comm,
-    ntasks: usize,
-    affinity: &[usize],
-    mut run: impl FnMut(usize),
-) -> Vec<usize> {
-    assert_eq!(affinity.len(), ntasks, "one affinity per task");
-    let size = comm.size();
-    let rank = comm.rank();
-    let mut mine = Vec::new();
-
-    if size == 1 {
-        for t in 0..ntasks {
-            run(t);
-            mine.push(t);
-        }
-        return mine;
-    }
-
-    if rank == 0 {
-        affinity_master_loop(comm, affinity);
-    } else {
-        loop {
-            comm.send(0, TAG_REQ, Vec::new());
-            let (reply, _) = comm.recv_u64s(0, TAG_TASK);
-            let task = reply[0];
-            if task == DONE {
-                break;
-            }
-            run(task as usize);
-            mine.push(task as usize);
-        }
-    }
-    mine
-}
-
-fn affinity_master_loop(comm: &Comm, affinity: &[usize]) {
-    use std::collections::HashMap;
-    let workers = comm.size() - 1;
-    // Task queues per resource, FIFO within a resource.
-    let mut queues: HashMap<usize, std::collections::VecDeque<u64>> = HashMap::new();
-    for (t, &a) in affinity.iter().enumerate() {
-        queues.entry(a).or_default().push_back(t as u64);
-    }
-    let mut remaining = affinity.len();
-    let mut last_resource: HashMap<usize, usize> = HashMap::new();
-    let mut retired = 0;
-
-    while retired < workers {
-        let msg = comm.recv(ANY_SOURCE, TAG_REQ);
-        let who = msg.status.source;
-        if remaining == 0 {
-            comm.send_u64s(who, TAG_TASK, &[DONE]);
-            retired += 1;
-            continue;
-        }
-        // Prefer the worker's current resource.
-        let preferred = last_resource.get(&who).copied();
-        let resource = match preferred {
-            Some(r) if queues.get(&r).is_some_and(|q| !q.is_empty()) => r,
-            _ => {
-                // Fall back to the resource with the most remaining tasks.
-                *queues
-                    .iter()
-                    .filter(|(_, q)| !q.is_empty())
-                    .max_by_key(|(_, q)| q.len())
-                    .expect("remaining > 0")
-                    .0
-            }
-        };
-        let task = queues
-            .get_mut(&resource)
-            .expect("resource exists")
-            .pop_front()
-            .expect("queue non-empty");
-        last_resource.insert(who, resource);
-        remaining -= 1;
-        comm.send_u64s(who, TAG_TASK, &[task]);
-    }
 }
 
 // ----------------------------------------------------------------------
 // Fault-tolerant master-worker scheduling
 // ----------------------------------------------------------------------
 
-/// Tuning knobs of the fault-tolerant scheduler ([`assign_and_run_ft`]).
+/// Tuning knobs of the fault-tolerant scheduler ([`assign_and_run_ft_report`]).
 #[derive(Debug, Clone)]
 pub struct FtConfig {
     /// Per-request wall-clock timeout for a worker waiting on the master's
@@ -470,17 +351,27 @@ pub struct FtRun {
 /// Without failover, master loss keeps the legacy typed errors
 /// ([`SchedError::MasterDied`] / [`SchedError::MasterUnreachable`]).
 ///
+/// `policy` picks which pending unit a requesting worker gets; units
+/// requeued after a death, a panic or a failover go through the same rule.
+///
 /// `run(unit)` executes a unit, emitting into *staging*; `verdict(unit,
 /// commit)` is called exactly once per completed execution to publish
 /// (`true`) or drop (`false`) that staging. A panicked execution discards
 /// its partial staging before the failure is reported.
+///
+/// # Panics
+/// Panics if an affinity policy does not name one resource per unit.
 pub fn assign_and_run_ft_report(
     comm: &Comm,
     ntasks: usize,
     cfg: &FtConfig,
+    policy: DispatchPolicy<'_>,
     run: &mut dyn FnMut(usize),
     verdict: &mut dyn FnMut(usize, bool),
 ) -> Result<FtRun, SchedError> {
+    if let DispatchPolicy::Affinity(affinity) = policy {
+        assert_eq!(affinity.len(), ntasks, "one affinity per task");
+    }
     if comm.size() == 1 {
         return Ok(ft_run_local(comm, ntasks, cfg, run, verdict));
     }
@@ -492,34 +383,12 @@ pub fn assign_and_run_ft_report(
     let mut seq = 0u64;
     let (mut completed, mut flag) = (NO_UNIT, FLAG_NONE);
 
-    if !cfg.failover {
-        CURRENT_MASTER.with(|m| m.set(0));
-        return if me == 0 {
-            match ft_master_loop(comm, ntasks, cfg, round, None) {
-                MasterExit::Finished(q) => Ok(FtRun { units: Vec::new(), quarantined: q }),
-                MasterExit::Aborted(unit) => Err(SchedError::Aborted { unit }),
-                MasterExit::AllWorkersDead => Err(SchedError::AllWorkersDead),
-                // Nobody deposes a master when failover is off; treat a
-                // spurious deposition as unreachability.
-                MasterExit::Deposed => Err(SchedError::MasterUnreachable),
-            }
-        } else {
-            match ft_worker_phase(
-                comm, cfg, 0, run, verdict, &mut mine, &mut mirror, &mut seq, &mut completed,
-                &mut flag,
-            ) {
-                WorkerExit::Done => Ok(FtRun { units: mine, quarantined: Vec::new() }),
-                WorkerExit::Abort => Err(SchedError::Aborted { unit: u64::MAX }),
-                WorkerExit::MasterGone { died: true } => Err(SchedError::MasterDied),
-                WorkerExit::MasterGone { died: false } => Err(SchedError::MasterUnreachable),
-            }
-        };
-    }
-
-    // Failover: run the role state machine. `via_failover` distinguishes a
-    // takeover (commits may exist — replay and gather before dispatching)
-    // from being the round's first master.
-    let Some(mut master) = board.elect_coordinator(round) else {
+    // The role state machine. `via_failover` distinguishes a takeover
+    // (commits may exist — replay and gather before dispatching) from being
+    // the round's first master. Without failover rank 0 leads the round and
+    // its loss ends the run.
+    let first = if cfg.failover { board.elect_coordinator(round) } else { Some(0) };
+    let Some(mut master) = first else {
         // Nobody can lead. A rejoiner that revived into a world with no
         // coordinator left bails out empty; an original rank reports the
         // legacy error.
@@ -545,7 +414,7 @@ pub fn assign_and_run_ft_report(
                 flag = FLAG_NONE;
             }
             let seed = via_failover.then(|| (std::mem::take(&mut mirror), mine.clone()));
-            match ft_master_loop(comm, ntasks, cfg, round, seed) {
+            match ft_master_loop(comm, ntasks, cfg, policy, round, seed) {
                 MasterExit::Finished(q) => {
                     board.record_departure(me, round, mine.iter().map(|&u| u as u64).collect());
                     board.close_gate_if(|| true);
@@ -567,6 +436,13 @@ pub fn assign_and_run_ft_report(
                     return Ok(FtRun { units: mine, quarantined: Vec::new() });
                 }
                 WorkerExit::Abort => return Err(SchedError::Aborted { unit: u64::MAX }),
+                WorkerExit::MasterGone { died } if !cfg.failover => {
+                    return Err(if died {
+                        SchedError::MasterDied
+                    } else {
+                        SchedError::MasterUnreachable
+                    });
+                }
                 WorkerExit::MasterGone { died } => {
                     if !died {
                         // Alive but absent past the whole retry budget:
@@ -606,20 +482,6 @@ pub fn assign_and_run_ft_report(
         }
         CURRENT_MASTER.with(|m| m.set(master));
     }
-}
-
-/// Compatibility wrapper over [`assign_and_run_ft_report`] for callers whose
-/// `run` publishes directly (no staging): every committed unit's output is
-/// already in place, and discards cannot happen without speculation.
-/// Returns the unit indices committed locally, in execution order.
-pub fn assign_and_run_ft(
-    comm: &Comm,
-    ntasks: usize,
-    cfg: &FtConfig,
-    mut run: impl FnMut(usize),
-) -> Result<Vec<usize>, SchedError> {
-    assign_and_run_ft_report(comm, ntasks, cfg, &mut |t| run(t), &mut |_, _| {})
-        .map(|r| r.units)
 }
 
 /// Send a one-way progress beacon to the *acting* FT master (tracked across
@@ -731,6 +593,68 @@ enum WorkerExit {
     MasterGone { died: bool },
 }
 
+/// The units awaiting dispatch, queued per resource (FIFO within one), and
+/// the [`DispatchPolicy`] rule that picks the next one for a worker. Under
+/// [`DispatchPolicy::Fifo`] every unit shares one resource, so the pick is
+/// plain FIFO.
+struct Pending {
+    /// Dense resource index of each unit, numbered in first-seen order.
+    resource: Vec<usize>,
+    queues: Vec<std::collections::VecDeque<u64>>,
+    /// Resource of the unit each worker was handed last.
+    last: std::collections::HashMap<usize, usize>,
+}
+
+impl Pending {
+    fn new(ntasks: usize, policy: DispatchPolicy<'_>) -> Self {
+        let resource: Vec<usize> = match policy {
+            DispatchPolicy::Fifo => vec![0; ntasks],
+            DispatchPolicy::Affinity(affinity) => {
+                let mut dense = std::collections::HashMap::new();
+                affinity
+                    .iter()
+                    .map(|&a| {
+                        let next = dense.len();
+                        *dense.entry(a).or_insert(next)
+                    })
+                    .collect()
+            }
+        };
+        let nres = resource.iter().max().map_or(0, |&r| r + 1);
+        Pending { resource, queues: vec![Default::default(); nres], last: Default::default() }
+    }
+
+    fn push(&mut self, unit: u64) {
+        self.queues[self.resource[unit as usize]].push_back(unit);
+    }
+
+    fn contains(&self, unit: u64) -> bool {
+        self.queues[self.resource[unit as usize]].contains(&unit)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.queues.iter().all(|q| q.is_empty())
+    }
+
+    /// Record that `worker` now holds `unit`'s resource.
+    fn note_dispatch(&mut self, worker: usize, unit: u64) {
+        self.last.insert(worker, self.resource[unit as usize]);
+    }
+
+    /// Take the next unit for `worker`: one of the resource it was handed
+    /// last while any remain, else the first unit of the fullest resource.
+    fn pop_for(&mut self, worker: usize) -> Option<u64> {
+        let resource = match self.last.get(&worker) {
+            Some(&r) if !self.queues[r].is_empty() => r,
+            _ => (0..self.queues.len())
+                .max_by_key(|&r| (self.queues[r].len(), std::cmp::Reverse(r)))?,
+        };
+        let unit = self.queues[resource].pop_front()?;
+        self.last.insert(worker, resource);
+        Some(unit)
+    }
+}
+
 /// Master bookkeeping for one tenure of the master role.
 struct FtMaster<'c> {
     comm: &'c Comm,
@@ -765,7 +689,7 @@ struct FtMaster<'c> {
     /// rank died and rejoined, so its previous incarnation's state is
     /// reclaimed even if the death itself fell between reap ticks.
     gen_seen: std::collections::HashMap<usize, u64>,
-    pending: std::collections::VecDeque<u64>,
+    pending: Pending,
     /// Completion flag per unit; a unit owned by a dead worker is un-done.
     done: Vec<bool>,
     ndone: usize,
@@ -877,7 +801,7 @@ impl FtMaster<'_> {
             self.reply(worker, [seq, ABORT, verdict]);
             return;
         }
-        if let Some(unit) = self.pending.pop_front() {
+        if let Some(unit) = self.pending.pop_for(worker) {
             self.attempts[unit as usize] += 1;
             if self.attempts[unit as usize] > self.max_attempts {
                 self.abort = Some(unit);
@@ -914,7 +838,7 @@ impl FtMaster<'_> {
     fn should_requeue(&self, unit: u64) -> bool {
         !self.done[unit as usize]
             && !self.quarantined.contains(&unit)
-            && !self.pending.contains(&unit)
+            && !self.pending.contains(unit)
             && !self.inflight.values().any(|&u| u == unit)
     }
 
@@ -929,12 +853,12 @@ impl FtMaster<'_> {
             self.done[unit as usize] = false;
             self.ndone -= 1;
             if self.should_requeue(unit) {
-                self.pending.push_back(unit);
+                self.pending.push(unit);
             }
         }
         if let Some(unit) = inflight {
             if self.should_requeue(unit) {
-                self.pending.push_back(unit);
+                self.pending.push(unit);
             }
         }
     }
@@ -1025,7 +949,7 @@ impl FtMaster<'_> {
         self.gathering = None;
         for unit in 0..self.done.len() as u64 {
             if self.should_requeue(unit) {
-                self.pending.push_back(unit);
+                self.pending.push(unit);
             }
         }
         self.flush_parked();
@@ -1082,7 +1006,7 @@ impl FtMaster<'_> {
             if healthy.contains(&unit)
                 || self.done[unit as usize]
                 || self.quarantined.contains(&unit)
-                || self.pending.contains(&unit)
+                || self.pending.contains(unit)
             {
                 continue;
             }
@@ -1111,6 +1035,7 @@ impl FtMaster<'_> {
                 return;
             }
             self.inflight.insert(worker, unit);
+            self.pending.note_dispatch(worker, unit);
             if let Some(o) = self.comm.obs() {
                 o.add("sched.speculative_dispatch", 1);
                 o.instant(
@@ -1264,7 +1189,7 @@ impl FtMaster<'_> {
                             }
                         }
                     } else if self.should_requeue(completed) {
-                        self.pending.push_back(completed);
+                        self.pending.push(completed);
                     }
                 }
                 _ => {}
@@ -1310,6 +1235,7 @@ fn ft_master_loop(
     comm: &Comm,
     ntasks: usize,
     cfg: &FtConfig,
+    policy: DispatchPolicy<'_>,
     round: u64,
     takeover: Option<(Vec<[u64; LOG_REC_WORDS]>, Vec<usize>)>,
 ) -> MasterExit {
@@ -1342,7 +1268,7 @@ fn ft_master_loop(
             .filter(|&r| r != me)
             .map(|r| (r, board.generation(r)))
             .collect(),
-        pending: Default::default(),
+        pending: Pending::new(ntasks, policy),
         done: vec![false; ntasks],
         ndone: 0,
         inflight: Default::default(),
@@ -1361,7 +1287,7 @@ fn ft_master_loop(
         abort: None,
     };
     match takeover {
-        None => m.pending = (0..ntasks as u64).collect(),
+        None => (0..ntasks as u64).for_each(|u| m.pending.push(u)),
         Some((mirror, my_claims)) => {
             // Replay the replicated log. The durable file and the standby
             // mirror are both prefixes (possibly with append gaps) of the
@@ -1736,12 +1662,19 @@ mod tests {
         }
     }
 
+    /// The fault-tolerant scheduler with affinity dispatch and no faults:
+    /// the units this rank ran.
+    fn affinity_units(comm: &mpisim::Comm, ntasks: usize, affinity: &[usize]) -> Vec<usize> {
+        ft_units(comm, ntasks, &FtConfig::default(), DispatchPolicy::Affinity(affinity), |_| {})
+            .expect("fault-free run")
+    }
+
     #[test]
     fn affinity_scheduler_partitions_tasks_exactly() {
         let ntasks = 30;
         let affinity: Vec<usize> = (0..ntasks).map(|t| t % 5).collect();
         let got = World::new(4).run(move |comm| {
-            assign_and_run_affinity(comm, ntasks, &affinity, |_| {})
+            affinity_units(comm, ntasks, &affinity)
         });
         assert!(got[0].is_empty(), "master must not execute tasks");
         assert_partition(&got, ntasks);
@@ -1755,7 +1688,7 @@ mod tests {
         let affinity: Vec<usize> = (0..ntasks).map(|t| t / 10).collect();
         let aff = affinity.clone();
         let got = World::new(5).run(move |comm| {
-            assign_and_run_affinity(comm, ntasks, &aff, |_| {})
+            affinity_units(comm, ntasks, &aff)
         });
         assert_partition(&got, ntasks);
         let mut total_switches = 0usize;
@@ -1779,16 +1712,16 @@ mod tests {
 
     #[test]
     fn affinity_scheduler_single_rank_and_zero_tasks() {
-        let got = World::new(1).run(|comm| assign_and_run_affinity(comm, 4, &[0, 1, 0, 1], |_| {}));
+        let got = World::new(1).run(|comm| affinity_units(comm, 4, &[0, 1, 0, 1]));
         assert_eq!(got[0], vec![0, 1, 2, 3]);
-        let got = World::new(3).run(|comm| assign_and_run_affinity(comm, 0, &[], |_| {}));
+        let got = World::new(3).run(|comm| affinity_units(comm, 0, &[]));
         assert!(got.iter().all(Vec::is_empty));
     }
 
     #[test]
     #[should_panic(expected = "one affinity per task")]
     fn affinity_length_mismatch_panics() {
-        let _ = World::new(1).run(|comm| assign_and_run_affinity(comm, 3, &[0], |_| {}));
+        let _ = World::new(1).run(|comm| affinity_units(comm, 3, &[0]));
     }
 
     #[test]
@@ -1823,8 +1756,21 @@ mod tests {
     use mpisim::{FaultPlan, RankOutcome};
     use std::sync::Arc as StdArc;
 
-    /// Run `assign_and_run_ft` under `plan` and return, per rank, either the
-    /// locally executed unit list or the death time.
+    /// The fault-tolerant scheduler with `run` publishing directly (no
+    /// staging): the units this rank committed, in execution order.
+    fn ft_units(
+        comm: &mpisim::Comm,
+        ntasks: usize,
+        cfg: &FtConfig,
+        policy: DispatchPolicy<'_>,
+        mut run: impl FnMut(usize),
+    ) -> Result<Vec<usize>, SchedError> {
+        assign_and_run_ft_report(comm, ntasks, cfg, policy, &mut run, &mut |_, _| {})
+            .map(|r| r.units)
+    }
+
+    /// Run the fault-tolerant scheduler under `plan` and return, per rank,
+    /// either the locally committed unit list or the death time.
     fn ft_run(
         size: usize,
         ntasks: usize,
@@ -1836,7 +1782,7 @@ mod tests {
         }
         let world = world;
         world.run_faulty(move |comm| {
-            assign_and_run_ft(comm, ntasks, &FtConfig::default(), |_| {})
+            ft_units(comm, ntasks, &FtConfig::default(), DispatchPolicy::Fifo, |_| {})
         })
     }
 
@@ -1906,7 +1852,7 @@ mod tests {
         let plan = FaultPlan::new(7).kill(1, 5.5);
         let world = World::new(3).with_faults(plan);
         let outcomes = world.run_faulty(move |comm| {
-            assign_and_run_ft(comm, 12, &FtConfig::default(), |_| comm.charge(1.0))
+            ft_units(comm, 12, &FtConfig::default(), DispatchPolicy::Fifo, |_| comm.charge(1.0))
         });
         assert!(outcomes[1].is_died());
         assert_exact_partition(&outcomes, 12);
@@ -1967,7 +1913,7 @@ mod tests {
         let world = World::new(3).with_faults(plan);
         let cfg = FtConfig { failover: false, ..FtConfig::default() };
         let outcomes = world.run_faulty(move |comm| {
-            assign_and_run_ft(comm, 6, &cfg, |_| {})
+            ft_units(comm, 6, &cfg, DispatchPolicy::Fifo, |_| {})
         });
         assert!(outcomes[0].is_died());
         for o in &outcomes[1..] {
@@ -1989,7 +1935,7 @@ mod tests {
         let plan = FaultPlan::new(11).kill(0, 2.5);
         let world = World::new(4).with_faults(plan);
         let outcomes = world.run_faulty(move |comm| {
-            assign_and_run_ft(comm, 12, &FtConfig::default(), |_| comm.charge(1.0))
+            ft_units(comm, 12, &FtConfig::default(), DispatchPolicy::Fifo, |_| comm.charge(1.0))
         });
         assert!(outcomes[0].is_died());
         for o in &outcomes[1..] {
@@ -2006,7 +1952,7 @@ mod tests {
         let plan = FaultPlan::new(17).kill(0, 2.5).kill(1, 4.0);
         let world = World::new(5).with_faults(plan);
         let outcomes = world.run_faulty(move |comm| {
-            assign_and_run_ft(comm, 20, &FtConfig::default(), |_| comm.charge(1.0))
+            ft_units(comm, 20, &FtConfig::default(), DispatchPolicy::Fifo, |_| comm.charge(1.0))
         });
         assert!(outcomes[0].is_died() && outcomes[1].is_died());
         for o in &outcomes[2..] {
@@ -2030,7 +1976,7 @@ mod tests {
         };
         let world = World::new(3).with_faults(plan);
         let outcomes = world.run_faulty(move |comm| {
-            assign_and_run_ft(comm, 8, &cfg, |_| comm.charge(0.01))
+            ft_units(comm, 8, &cfg, DispatchPolicy::Fifo, |_| comm.charge(0.01))
         });
         for o in &outcomes {
             assert!(matches!(o, RankOutcome::Done(Ok(_))), "outcome: {o:?}");
@@ -2047,7 +1993,7 @@ mod tests {
         let plan = FaultPlan::new(19).kill(1, 1.5).restart(1, 0.05);
         let world = World::new(3).with_faults(plan);
         let outcomes = world.run_faulty(move |comm| {
-            assign_and_run_ft(comm, 8, &FtConfig::default(), |_| {
+            ft_units(comm, 8, &FtConfig::default(), DispatchPolicy::Fifo, |_| {
                 std::thread::sleep(Duration::from_millis(50));
                 comm.charge(1.0);
             })
@@ -2078,7 +2024,7 @@ mod tests {
         let plan = FaultPlan::new(43).kill(1, 0.0).restart(1, 0.5);
         let world = World::new(3).with_faults(plan);
         let outcomes = world.run_faulty(move |comm| {
-            assign_and_run_ft(comm, 6, &FtConfig::default(), |_| {})
+            ft_units(comm, 6, &FtConfig::default(), DispatchPolicy::Fifo, |_| {})
         });
         assert!(outcomes[1].is_died(), "late rejoiner must stay dead: {:?}", outcomes[1]);
         assert!(matches!(&outcomes[0], RankOutcome::Done(Ok(_))));
@@ -2113,6 +2059,7 @@ mod tests {
                 comm,
                 4,
                 &cfg,
+                DispatchPolicy::Fifo,
                 &mut |_| {
                     std::thread::sleep(Duration::from_millis(100));
                     comm.charge(1.0);
@@ -2158,6 +2105,7 @@ mod tests {
                 comm,
                 10,
                 &FtConfig::default(),
+                DispatchPolicy::Fifo,
                 &mut |_| {},
                 &mut |_, _| {},
             )
@@ -2182,6 +2130,7 @@ mod tests {
                 comm,
                 4,
                 &FtConfig::default(),
+                DispatchPolicy::Fifo,
                 &mut |_| {},
                 &mut |_, _| {},
             )
@@ -2198,6 +2147,7 @@ mod tests {
                 comm,
                 6,
                 &FtConfig::default(),
+                DispatchPolicy::Fifo,
                 &mut |t| {
                     if t == 3 {
                         panic!("bad work unit");
@@ -2227,7 +2177,8 @@ mod tests {
         };
         let plan = FaultPlan::new(29).stall(1, 0.005, 30.0);
         let outcomes = World::new(3).with_faults(plan).run_faulty(move |comm| {
-            assign_and_run_ft_report(comm, 8, &cfg, &mut |_| comm.charge(0.01), &mut |_, _| {})
+            let mut run = |_| comm.charge(0.01);
+            assign_and_run_ft_report(comm, 8, &cfg, DispatchPolicy::Fifo, &mut run, &mut |_, _| {})
         });
         assert!(outcomes[1].is_died(), "straggler must be fenced: {:?}", outcomes[1]);
         let master = outcomes[0].as_done().unwrap().as_ref().expect("master finishes");
@@ -2267,7 +2218,8 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(50));
             }
             // Rank 1's clock crosses the stall time during its second unit.
-            assign_and_run_ft_report(comm, 3, &cfg, &mut |_| comm.charge(0.003), &mut |_, _| {})
+            let mut run = |_| comm.charge(0.003);
+            assign_and_run_ft_report(comm, 3, &cfg, DispatchPolicy::Fifo, &mut run, &mut |_, _| {})
         });
         assert!(outcomes[1].is_died(), "straggler must be fenced: {:?}", outcomes[1]);
         let master = outcomes[0].as_done().unwrap().as_ref().expect("master finishes");
@@ -2307,6 +2259,7 @@ mod tests {
                 comm,
                 1,
                 &cfg,
+                DispatchPolicy::Fifo,
                 &mut |_| {
                     comm.charge(0.01); // rank 1 hits its stall window here
                     if comm.rank() == 2 {
@@ -2346,6 +2299,7 @@ mod tests {
                 comm,
                 6,
                 &cfg,
+                DispatchPolicy::Fifo,
                 &mut |_| comm.charge(0.01),
                 &mut |_, commit| {
                     if !commit {

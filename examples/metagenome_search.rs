@@ -75,7 +75,7 @@ fn main() {
             output_dir: Some(od.clone()),
             ..MrBlastConfig::blastn()
         };
-        run_mrblast(comm, &db, &blocks, &cfg)
+        run_mrblast(comm, &db, &blocks, &cfg).expect("fault-free run")
     });
 
     // Classify each read by its best hit (hits arrive E-value-sorted per

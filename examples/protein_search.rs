@@ -55,7 +55,7 @@ fn main() {
             params: SearchParams::blastp().with_evalue(1e-4),
             ..MrBlastConfig::blastp()
         };
-        run_mrblast(comm, &db, &blocks, &cfg)
+        run_mrblast(comm, &db, &blocks, &cfg).expect("fault-free run")
     });
 
     let mut found = 0usize;

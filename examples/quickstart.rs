@@ -41,8 +41,9 @@ fn main() {
     let ranks = 4;
     let db2 = db.clone();
     let blocks2 = blocks.clone();
-    let reports = World::new(ranks)
-        .run(move |comm| run_mrblast(comm, &db2, &blocks2, &MrBlastConfig::blastn()));
+    let reports = World::new(ranks).run(move |comm| {
+        run_mrblast(comm, &db2, &blocks2, &MrBlastConfig::blastn()).expect("fault-free run")
+    });
 
     let parallel_hits: usize = reports.iter().map(|r| r.hits.len()).sum();
     println!(

@@ -104,7 +104,7 @@ fn main() {
             params: SearchParams::blastx().with_evalue(1e-8),
             ..MrBlastConfig::blastp()
         };
-        run_mrblast(comm, &db2, &blocks, &cfg)
+        run_mrblast(comm, &db2, &blocks, &cfg).expect("fault-free run")
     });
 
     let mut annotated = 0usize;

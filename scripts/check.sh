@@ -20,6 +20,9 @@ cargo test -q -p blast
 echo "== fault-mode smoke: 2 of 8 workers killed mid-map, bit-for-bit BLAST =="
 cargo test -q --test parallel_equivalence blast_equivalence_with_two_of_eight_workers_killed_mid_map
 
+echo "== fault-mode smoke: locality-aware master with a worker killed mid-map, bit-for-bit BLAST =="
+cargo test -q --test parallel_equivalence locality_with_worker_death_matches_serial
+
 echo "== fault-mode smoke: DES dead-worker closed form =="
 cargo test -q --test perfmodel_validation faulty_des_matches_reduced_worker_closed_form
 
@@ -44,7 +47,7 @@ cargo test -q --test golden_trace -- --test-threads=1
 echo "== obs off is a no-op: run without a collector records nothing process-wide =="
 cargo test -q --test obs_noop
 
-echo "== obs smoke: 9-rank traced BLAST via mb-blast, trace schema-validated =="
+echo "== obs smoke: 9-rank traced BLAST via mb-blast (locality-aware master), trace schema-validated =="
 cargo build --release -p mrbio -p obs --bins
 OBS_SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$OBS_SMOKE_DIR"' EXIT
@@ -67,7 +70,7 @@ awk '/^>/ { n++; printf(">q%d\n", n); getline l1; getline l2; print l1; print l2
 target/release/mb-formatdb --in "$OBS_SMOKE_DIR/refs.fa" --out "$OBS_SMOKE_DIR/db" \
   --name refdb --partition-bytes 1024
 target/release/mb-blast --db "$OBS_SMOKE_DIR/db" --name refdb \
-  --queries "$OBS_SMOKE_DIR/reads.fa" --ranks 9 --block-size 2 \
+  --queries "$OBS_SMOKE_DIR/reads.fa" --ranks 9 --block-size 2 --locality \
   --out "$OBS_SMOKE_DIR/hits" --trace "$OBS_SMOKE_DIR/trace.json"
 target/release/trace-lint "$OBS_SMOKE_DIR/trace.json"
 

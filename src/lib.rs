@@ -43,7 +43,7 @@
 //!
 //! // Run the parallel search on 4 simulated MPI ranks.
 //! let reports = World::new(4).run(move |comm| {
-//!     run_mrblast(comm, &db, &blocks, &MrBlastConfig::blastn())
+//!     run_mrblast(comm, &db, &blocks, &MrBlastConfig::blastn()).unwrap()
 //! });
 //! let hits: usize = reports.iter().map(|r| r.hits.len()).sum();
 //! assert!(hits > 0);

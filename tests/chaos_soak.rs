@@ -19,9 +19,9 @@ use blast::search::BlastSearcher;
 use blast::SearchParams;
 use mpisim::{FaultPlan, RankOutcome, World};
 use mrbio::{
-    run_mrblast_ft, run_mrsom_ft, FaultConfig, MrBlastConfig, MrSomConfig, VectorMatrix,
+    run_mrblast, run_mrsom_ft, FaultConfig, MrBlastConfig, MrSomConfig, Schedule, VectorMatrix,
 };
-use mrmpi::{read_poison_log, DiskFaultPlan, FtConfig, MapReduce, Settings};
+use mrmpi::{read_poison_log, DiskFaultPlan, DispatchPolicy, FtConfig, MapReduce, Settings};
 use som::batch::batch_train;
 use som::neighborhood::SomConfig;
 use std::path::PathBuf;
@@ -86,8 +86,9 @@ fn run_blast_chaos(
 ) -> (Vec<Hit>, Vec<u64>, usize) {
     let db = fx.db.clone();
     let blocks = fx.blocks.clone();
+    let cfg = MrBlastConfig { schedule: Schedule::MasterWorker(fault), ..cfg };
     let outcomes = World::new(ranks).with_faults(plan).run_faulty(move |comm| {
-        run_mrblast_ft(comm, &db, &blocks, &cfg, &fault)
+        run_mrblast(comm, &db, &blocks, &cfg)
     });
     let mut hits = Vec::new();
     let mut quarantined = None;
@@ -359,7 +360,7 @@ fn master_death_mid_collate_next_round_elects_and_stays_exact() {
             let mut collected: Vec<(Vec<u8>, Vec<Vec<u8>>)> = Vec::new();
             for round in 0..2u64 {
                 let mut mr = MapReduce::new(comm);
-                mr.map_tasks_ft_report(UNITS as usize, &cfg, &mut |task, kv| {
+                mr.map_tasks_ft_report(UNITS as usize, &cfg, DispatchPolicy::Fifo, &mut |task, kv| {
                     comm.charge(1.0);
                     let unit = round * UNITS + task as u64;
                     kv.emit(&unit.to_le_bytes(), &[unit as u8, (unit * 3) as u8]);

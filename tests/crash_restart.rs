@@ -17,7 +17,7 @@ use bioseq::shred::query_blocks;
 use mpisim::World;
 use mrbio::ckpt::BlastCheckpoint;
 use mrbio::{
-    checkpoint_path, disk_faults, run_mrblast, run_mrsom, MrBlastConfig, MrSomConfig,
+    checkpoint_path, disk_faults, run_mrblast, run_mrsom, MrBlastConfig, MrSomConfig, Schedule,
 };
 use mrmpi::DiskFaultPlan;
 use som::neighborhood::SomConfig;
@@ -68,7 +68,7 @@ fn blast_run(
             // Chunk assignment is reproducible run-to-run; the master-worker
             // schedule depends on measured task durations, which would make
             // *any* two runs differ in output order, interrupted or not.
-            map_style: mrmpi::MapStyle::Chunk,
+            schedule: Schedule::Chunk,
             output_dir: Some(out.clone()),
             checkpoint_dir: ck.clone(),
             stop_after_iterations: stop,
@@ -77,7 +77,7 @@ fn blast_run(
         if let Some(plan) = &faults {
             cfg.mr_settings = disk_faults(cfg.mr_settings.clone(), plan.clone_plan());
         }
-        run_mrblast(comm, &db, &blocks, &cfg)
+        run_mrblast(comm, &db, &blocks, &cfg).unwrap();
     });
 }
 

@@ -18,8 +18,8 @@ use bioseq::gen::{self, WorkloadConfig};
 use bioseq::seq::SeqRecord;
 use bioseq::shred::query_blocks;
 use mpisim::World;
-use mrbio::{run_mrblast_ft, FaultConfig, MrBlastConfig};
-use mrmpi::{FtConfig, MapReduce, Settings};
+use mrbio::{run_mrblast, MrBlastConfig};
+use mrmpi::{DispatchPolicy, FtConfig, MapReduce, Settings};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -60,7 +60,7 @@ fn traced_blast_run(fx: &Fixture, ranks: usize) -> (obs::Trace, usize) {
     let db = fx.db.clone();
     let blocks = fx.blocks.clone();
     let reports = World::new(ranks).with_obs(collector.clone()).run(move |comm| {
-        run_mrblast_ft(comm, &db, &blocks, &MrBlastConfig::blastn(), &FaultConfig::default())
+        run_mrblast(comm, &db, &blocks, &MrBlastConfig::blastn())
             .expect("fault-free run must succeed")
     });
     let hits = reports.iter().map(|r| r.hits.len()).sum();
@@ -118,7 +118,7 @@ fn synthetic_trace() -> obs::Trace {
     let collector = obs::Collector::new();
     World::new(1).with_obs(collector.clone()).run(|comm| {
         let mut mr = MapReduce::with_settings(comm, Settings::default());
-        mr.map_tasks_ft_report(6, &FtConfig::default(), &mut |t, kv| {
+        mr.map_tasks_ft_report(6, &FtConfig::default(), DispatchPolicy::Fifo, &mut |t, kv| {
             comm.charge(0.25);
             kv.emit(&[(t % 3) as u8], &[t as u8]);
         })

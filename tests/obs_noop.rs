@@ -5,17 +5,22 @@
 //! the same process that legitimately records would break the delta.
 
 use mpisim::World;
-use mrmpi::{FtConfig, MapReduce, Settings};
+use mrmpi::{DispatchPolicy, FtConfig, MapReduce, Settings};
 
 #[test]
 fn obs_off_records_nothing_process_wide() {
     let before = obs::touched_count();
     World::new(3).run(|comm| {
         let mut mr = MapReduce::with_settings(comm, Settings::default());
-        mr.map_tasks_ft_report(9, &FtConfig::default(), &mut |t, kv| {
-            comm.charge(0.05);
-            kv.emit(&[(t % 4) as u8], &[t as u8]);
-        })
+        mr.map_tasks_ft_report(
+            9,
+            &FtConfig::default(),
+            DispatchPolicy::Fifo,
+            &mut |t, kv| {
+                comm.charge(0.05);
+                kv.emit(&[(t % 4) as u8], &[t as u8]);
+            },
+        )
         .expect("no faults injected");
         mr.collate();
         mr.reduce(&mut |_key, values, _out| {

@@ -17,7 +17,7 @@ use blast::search::BlastSearcher;
 use blast::SearchParams;
 use mpisim::{FaultPlan, RankOutcome, World};
 use mrbio::{
-    run_mrblast, run_mrblast_ft, run_mrsom, run_mrsom_ft, FaultConfig, MrBlastConfig, MrSomConfig,
+    run_mrblast, run_mrsom, run_mrsom_ft, FaultConfig, MrBlastConfig, MrSomConfig, Schedule,
     VectorMatrix,
 };
 use mrmpi::{MapStyle, Settings};
@@ -76,7 +76,7 @@ fn sorted_keys(hits: impl IntoIterator<Item = Hit>) -> Vec<(String, String, u32,
 fn run_parallel(fx: &BlastFixture, ranks: usize, cfg: MrBlastConfig) -> Vec<Hit> {
     let db = fx.db.clone();
     let blocks = fx.blocks.clone();
-    let reports = World::new(ranks).run(move |comm| run_mrblast(comm, &db, &blocks, &cfg));
+    let reports = World::new(ranks).run(move |comm| run_mrblast(comm, &db, &blocks, &cfg).unwrap());
     reports.into_iter().flat_map(|r| r.hits).collect()
 }
 
@@ -94,8 +94,9 @@ fn blast_equivalence_across_rank_counts() {
 fn blast_equivalence_across_mapstyles() {
     let fx = blast_fixture(1002, "styles");
     let expect = sorted_keys(fx.serial.clone());
-    for style in [MapStyle::MasterWorker, MapStyle::Chunk, MapStyle::RoundRobin] {
-        let cfg = MrBlastConfig { map_style: style, ..MrBlastConfig::blastn() };
+    let master_worker = Schedule::MasterWorker(FaultConfig::default());
+    for style in [master_worker, Schedule::Chunk, Schedule::RoundRobin] {
+        let cfg = MrBlastConfig { schedule: style.clone(), ..MrBlastConfig::blastn() };
         let got = sorted_keys(run_parallel(&fx, 4, cfg));
         assert_eq!(got, expect, "mapstyle {style:?}");
     }
@@ -206,7 +207,7 @@ fn blastx_parallel_equals_serial() {
         let blocks = blocks.clone();
         let reports = World::new(ranks).run(move |comm| {
             let cfg = MrBlastConfig { params, ..MrBlastConfig::blastp() };
-            run_mrblast(comm, &db, &blocks, &cfg)
+            run_mrblast(comm, &db, &blocks, &cfg).unwrap()
         });
         let got = sorted_keys(reports.into_iter().flat_map(|r| r.hits).collect::<Vec<_>>());
         assert_eq!(got, sorted_keys(serial.clone()), "blastx ranks={ranks}");
@@ -220,14 +221,19 @@ fn sorted_hits(mut hits: Vec<Hit>) -> Vec<Hit> {
     hits
 }
 
-/// Run the recovering driver under a fault plan; panic if any survivor
-/// errors, return the survivors' combined hits and the death count.
-fn run_parallel_ft(fx: &BlastFixture, ranks: usize, plan: FaultPlan) -> (Vec<Hit>, usize) {
+/// Run the driver under a fault plan; panic if any survivor errors, return
+/// the survivors' combined hits and the death count.
+fn run_parallel_ft(
+    fx: &BlastFixture,
+    ranks: usize,
+    plan: FaultPlan,
+    cfg: MrBlastConfig,
+) -> (Vec<Hit>, usize) {
     let db = fx.db.clone();
     let blocks = fx.blocks.clone();
-    let outcomes = World::new(ranks).with_faults(plan).run_faulty(move |comm| {
-        run_mrblast_ft(comm, &db, &blocks, &MrBlastConfig::blastn(), &FaultConfig::default())
-    });
+    let outcomes = World::new(ranks)
+        .with_faults(plan)
+        .run_faulty(move |comm| run_mrblast(comm, &db, &blocks, &cfg));
     let mut hits = Vec::new();
     let mut died = 0;
     for (rank, out) in outcomes.into_iter().enumerate() {
@@ -245,7 +251,8 @@ fn blast_equivalence_with_one_injected_worker_death() {
     let fx = blast_fixture(1007, "ft1");
     // The kill fires on worker 2's first operation: it never completes a
     // unit, and the survivors take over its share.
-    let (hits, died) = run_parallel_ft(&fx, 4, FaultPlan::new(90).kill(2, 0.0));
+    let (hits, died) =
+        run_parallel_ft(&fx, 4, FaultPlan::new(90).kill(2, 0.0), MrBlastConfig::blastn());
     assert_eq!(died, 1, "the planned death must fire");
     assert_eq!(
         sorted_hits(hits),
@@ -263,12 +270,32 @@ fn blast_equivalence_with_two_of_eight_workers_killed_mid_map() {
     // mid-map deaths whose finished output dies with them, the worst case
     // for the recovery protocol.
     let plan = FaultPlan::new(91).kill(3, 1e-4).kill(6, 2e-4);
-    let (hits, died) = run_parallel_ft(&fx, 9, plan);
+    let (hits, died) = run_parallel_ft(&fx, 9, plan, MrBlastConfig::blastn());
     assert_eq!(died, 2, "both planned deaths must fire");
     assert_eq!(
         sorted_hits(hits),
         sorted_hits(fx.serial.clone()),
         "2 of 8 workers killed mid-map: output must equal serial bit-for-bit"
+    );
+}
+
+#[test]
+fn locality_with_worker_death_matches_serial() {
+    let fx = blast_fixture(1012, "ftloc");
+    // 4 ranks: master + 3 workers under the locality-aware master. Worker 2
+    // dies inside its first unit, while the others are mapping; the unit it
+    // held requeues through the same affinity rule, and the survivors'
+    // output is still the serial output.
+    let cfg = MrBlastConfig {
+        schedule: Schedule::Locality(FaultConfig::default()),
+        ..MrBlastConfig::blastn()
+    };
+    let (hits, died) = run_parallel_ft(&fx, 4, FaultPlan::new(92).kill(2, 1e-4), cfg);
+    assert_eq!(died, 1, "the planned death must fire");
+    assert_eq!(
+        sorted_hits(hits),
+        sorted_hits(fx.serial.clone()),
+        "locality dispatch with a worker death: output must equal serial bit-for-bit"
     );
 }
 

@@ -44,7 +44,7 @@ fn des_makespan_matches_real_master_worker_run() {
     let db2 = db.clone();
     let blocks2 = blocks.clone();
     let reports = World::new(ranks)
-        .run(move |comm| run_mrblast(comm, &db2, &blocks2, &MrBlastConfig::blastn()));
+        .run(move |comm| run_mrblast(comm, &db2, &blocks2, &MrBlastConfig::blastn()).unwrap());
     let real_makespan = reports.iter().map(|r| r.finish_time).fold(0.0, f64::max);
 
     // Collect the real per-unit search costs (order irrelevant for the

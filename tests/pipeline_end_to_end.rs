@@ -8,7 +8,8 @@ use bioseq::gen::{self, rng};
 use bioseq::seq::SeqRecord;
 use bioseq::shred::{query_blocks, shred_records, ShredConfig};
 use mpisim::World;
-use mrbio::{run_mrblast, MrBlastConfig};
+use blast::format::tabular_line;
+use mrbio::{run_mrblast, run_mrblast_adaptive, AdaptiveConfig, MrBlastConfig};
 use std::sync::Arc;
 
 #[test]
@@ -47,7 +48,7 @@ fn fasta_to_classified_reads() {
     let od = outdir.clone();
     let reports = World::new(4).run(move |comm| {
         let cfg = MrBlastConfig { output_dir: Some(od.clone()), ..MrBlastConfig::blastn() };
-        run_mrblast(comm, &db, &blocks, &cfg)
+        run_mrblast(comm, &db, &blocks, &cfg).unwrap()
     });
 
     // 5. Every read must hit its source genome as the top hit.
@@ -113,7 +114,7 @@ fn self_exclusion_filters_but_keeps_cross_hits() {
     let blocks2 = blocks.clone();
     let reports = World::new(2).run(move |comm| {
         let cfg = MrBlastConfig { exclude_self: true, ..MrBlastConfig::blastn() };
-        run_mrblast(comm, &db2, &blocks2, &cfg)
+        run_mrblast(comm, &db2, &blocks2, &cfg).unwrap()
     });
     let hits: Vec<_> = reports.iter().flat_map(|r| r.hits.iter()).collect();
     assert!(!hits.is_empty(), "cross-genome hits must survive");
@@ -121,5 +122,60 @@ fn self_exclusion_filters_but_keeps_cross_hits() {
         hits.iter().all(|h| h.subject_id == "B"),
         "all self (A) hits must be excluded"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn adaptive_run_traces_its_loads_and_writes_rank_files() {
+    // The adaptive driver plans query blocks from an indexed FASTA file and
+    // then runs the same work unit as `run_mrblast`: partition loads reach
+    // the trace, and `output_dir` gets per-rank files holding exactly the
+    // reported hits.
+    let w = gen::dna_workload(
+        4545,
+        &gen::WorkloadConfig {
+            db_seqs: 10,
+            db_seq_len: 1200,
+            queries: 30,
+            homolog_fraction: 0.7,
+            ..Default::default()
+        },
+    );
+    let dir = std::env::temp_dir().join(format!("e2e-adaptive-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let db = Arc::new(format_db(&w.db, &FormatDbConfig::dna(900), &dir, "db").unwrap());
+    let nparts = db.num_partitions();
+    assert!(nparts >= 3, "need several partitions");
+    let fasta = dir.join("queries.fa");
+    write_fasta_file(&fasta, &w.queries).unwrap();
+    let outdir = dir.join("out");
+
+    let collector = obs::Collector::new();
+    let od = outdir.clone();
+    let reports = World::new(3).with_obs(collector.clone()).run(move |comm| {
+        let cfg = MrBlastConfig { output_dir: Some(od.clone()), ..MrBlastConfig::blastn() };
+        run_mrblast_adaptive(comm, &db, &fasta, &cfg, &AdaptiveConfig::default()).unwrap()
+    });
+    let trace = collector.trace();
+    let loads: u64 = reports.iter().map(|r| r.base.db_loads).sum();
+    assert!(loads > 0);
+    assert_eq!(trace.counter_total("blast.db_loads"), loads, "every partition load is traced");
+    let units = (reports[0].block_ranges.len() * nparts) as u64;
+    assert_eq!(
+        trace.counter_total("sched.commit"),
+        units,
+        "the adaptive run commits every work unit through the fault-tolerant scheduler"
+    );
+
+    let mut total = 0;
+    for rep in &reports {
+        let path = rep.base.output_file.as_ref().expect("per-rank file requested");
+        let written = std::fs::read_to_string(path).unwrap();
+        let expect: String =
+            rep.base.hits.iter().map(|h| format!("{}\n", tabular_line(h))).collect();
+        assert_eq!(written, expect, "rank {} file must hold exactly its hits", rep.base.rank);
+        total += rep.base.hits.len();
+    }
+    assert!(total > 0, "the workload must produce hits");
     std::fs::remove_dir_all(&dir).ok();
 }

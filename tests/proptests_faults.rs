@@ -2,7 +2,7 @@
 //!
 //! Two families of invariants:
 //!
-//! * the fault-tolerant scheduler ([`mrmpi::sched::assign_and_run_ft`])
+//! * the fault-tolerant scheduler ([`mrmpi::sched::assign_and_run_ft_report`])
 //!   never loses or duplicates a work unit across the surviving ranks, for
 //!   arbitrary seeded fault plans (worker deaths at arbitrary virtual
 //!   times, lossy and delayed master-worker links);
@@ -15,8 +15,8 @@ use proptest::prelude::*;
 
 use mpisim::{FaultPlan, RankOutcome, World};
 use mrmpi::kv::{try_decode_entry, validate_page};
-use mrmpi::sched::assign_and_run_ft;
-use mrmpi::{FtConfig, KvError, SchedError};
+use mrmpi::sched::assign_and_run_ft_report;
+use mrmpi::{DispatchPolicy, FtConfig, KvError, SchedError};
 use std::time::Duration;
 
 /// Encode pairs in the KV page wire format (klen, vlen as u32 LE, then the
@@ -42,6 +42,18 @@ fn small_pairs() -> impl Strategy<Value = Vec<(Vec<u8>, Vec<u8>)>> {
         ),
         0..12,
     )
+}
+
+/// The fault-tolerant scheduler with FIFO dispatch and `run` publishing
+/// directly (no staging): the units this rank committed.
+fn ft_units(
+    comm: &mpisim::Comm,
+    ntasks: usize,
+    cfg: &FtConfig,
+    mut run: impl FnMut(usize),
+) -> Result<Vec<usize>, SchedError> {
+    assign_and_run_ft_report(comm, ntasks, cfg, DispatchPolicy::Fifo, &mut run, &mut |_, _| {})
+        .map(|r| r.units)
 }
 
 /// Check that the survivors' unit lists form an exact partition of
@@ -100,11 +112,11 @@ proptest! {
         let outcomes = World::new(size).with_faults(plan).run_faulty(move |comm| {
             // Each unit charges 1s of virtual time so that nonzero strike
             // times fire mid-run, not just at the first operation.
-            assign_and_run_ft(comm, ntasks, &cfg, |_unit| comm.charge(1.0))
+            ft_units(comm, ntasks, &cfg, |_unit| comm.charge(1.0))
         });
 
         // The sched-level contract (callers add cross-rank reconciliation on
-        // top, see `MapReduce::map_tasks_ft`):
+        // top, see `MapReduce::map_tasks_ft_report`):
         //  * a unit never runs on two surviving ranks — exactly-once from
         //    the output's point of view;
         //  * with no deaths fired, the partition is exact and every rank
@@ -181,7 +193,7 @@ proptest! {
             ..FtConfig::default()
         };
         let outcomes = World::new(size).with_faults(plan).run_faulty(move |comm| {
-            assign_and_run_ft(comm, ntasks, &cfg, |_unit| {})
+            ft_units(comm, ntasks, &cfg, |_unit| {})
         });
         assert_exact_partition(&outcomes, ntasks, 0)?;
     }
@@ -232,10 +244,11 @@ proptest! {
         let outcomes = World::new(size).with_faults(plan).run_faulty(move |comm| {
             // Each unit charges 1s of virtual time so strike times fire
             // mid-run; wall-clock stall durations stay under 50 ms.
-            mrmpi::sched::assign_and_run_ft_report(
+            assign_and_run_ft_report(
                 comm,
                 ntasks,
                 &cfg,
+                DispatchPolicy::Fifo,
                 &mut |_unit| comm.charge(1.0),
                 &mut |_, _| {},
             )

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 
 use mpisim::{FaultPlan, RankOutcome, World};
 use mrmpi::sched::assign_and_run_ft_report;
-use mrmpi::{DiskFaultPlan, FtConfig, MapReduce, Settings};
+use mrmpi::{DiskFaultPlan, DispatchPolicy, FtConfig, MapReduce, Settings};
 
 proptest! {
     #[test]
@@ -62,6 +62,7 @@ proptest! {
                     comm,
                     ntasks,
                     &cfg2,
+                    DispatchPolicy::Fifo,
                     &mut |_unit| comm.charge(1.0),
                     &mut |_, _| {},
                 )
@@ -190,7 +191,7 @@ proptest! {
                 }
                 .with_disk_faults(disk2.clone());
                 let mut mr = MapReduce::with_settings(comm, settings);
-                let report = mr.map_tasks_ft_report(ntasks, &FtConfig::default(), &mut |t, kv| {
+                let report = mr.map_tasks_ft_report(ntasks, &FtConfig::default(), DispatchPolicy::Fifo, &mut |t, kv| {
                     comm.charge(0.2);
                     for i in 0..8u8 {
                         kv.emit(&[(t % 3) as u8, i], &[t as u8; 16]);

@@ -20,7 +20,7 @@ use blast::hsp::Hit;
 use blast::search::BlastSearcher;
 use blast::SearchParams;
 use mpisim::{FaultPlan, RankOutcome, World};
-use mrbio::{run_mrblast_ft, FaultConfig, MrBlastConfig};
+use mrbio::{run_mrblast, FaultConfig, MrBlastConfig, Schedule};
 use mrmpi::{read_poison_log, FtConfig, Settings};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -105,9 +105,8 @@ fn run_ft(
         None => World::new(ranks),
     };
     let t0 = std::time::Instant::now();
-    let outcomes = world.run_faulty(move |comm| {
-        run_mrblast_ft(comm, &db, &blocks, &cfg, &FaultConfig { ft: ft.clone() })
-    });
+    let cfg = MrBlastConfig { schedule: Schedule::MasterWorker(FaultConfig { ft }), ..cfg };
+    let outcomes = world.run_faulty(move |comm| run_mrblast(comm, &db, &blocks, &cfg));
     let wall = t0.elapsed().as_secs_f64();
     let mut hits = Vec::new();
     let mut quarantined = None;
