@@ -76,9 +76,14 @@ pub struct AdaptiveReport {
 /// Block sizing only plans the input: the blocks then run through the same
 /// driver as [`crate::run_mrblast`], so every [`MrBlastConfig`] setting
 /// applies (schedule and fault settings, iterations, per-rank output files,
-/// self-hit exclusion) except `checkpoint_dir`: the plan comes from a timing
-/// measurement, so a restarted run may cut different blocks, and a
+/// self-hit exclusion) except checkpoint/restart: the plan comes from a
+/// timing measurement, so a restarted run may cut different blocks, and a
 /// checkpoint of finished block indices would not carry over.
+///
+/// # Panics
+/// Panics if `cfg.checkpoint_dir` or `cfg.stop_after_iterations` is set:
+/// an adaptive run can neither checkpoint nor resume, so stopping early
+/// would only return partial hits.
 pub fn run_mrblast_adaptive(
     comm: &Comm,
     db: &BlastDb,
@@ -86,6 +91,11 @@ pub fn run_mrblast_adaptive(
     cfg: &MrBlastConfig,
     acfg: &AdaptiveConfig,
 ) -> Result<AdaptiveReport, MrError> {
+    assert!(
+        cfg.checkpoint_dir.is_none() && cfg.stop_after_iterations.is_none(),
+        "run_mrblast_adaptive cannot checkpoint or stop early: \
+         checkpoint_dir and stop_after_iterations must be None"
+    );
     let searcher = BlastSearcher::new(cfg.params);
     let index = FastaIndex::build(query_fasta).expect("index query FASTA");
     let nparts = db.num_partitions();
@@ -123,8 +133,7 @@ pub fn run_mrblast_adaptive(
 
     // ---- the usual pipeline, reading query ranges on demand ----
     let queries = Queries::Indexed { index: &index, ranges: &block_ranges };
-    let cfg = MrBlastConfig { checkpoint_dir: None, ..cfg.clone() };
-    let base = drive(comm, db, &queries, &cfg)?;
+    let base = drive(comm, db, &queries, cfg)?;
     Ok(AdaptiveReport { base, chosen_block, block_ranges })
 }
 
@@ -234,6 +243,28 @@ mod tests {
         });
         let got = keys(reports.into_iter().flat_map(|r| r.base.hits));
         assert_eq!(got, keys(serial));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn adaptive_refuses_checkpoint_settings() {
+        let (db, fasta, _, dir) = fixture("ckpt");
+        let base = MrBlastConfig::blastn;
+        for cfg in [
+            MrBlastConfig { checkpoint_dir: Some(dir.join("ckpt")), ..base() },
+            MrBlastConfig { stop_after_iterations: Some(1), ..base() },
+        ] {
+            let (db, fasta) = (db.clone(), fasta.clone());
+            let err = std::panic::catch_unwind(move || {
+                World::new(1).run(move |comm| {
+                    let acfg = AdaptiveConfig::default();
+                    run_mrblast_adaptive(comm, &db, &fasta, &cfg, &acfg).is_ok()
+                })
+            })
+            .expect_err("a checkpointing adaptive run must be refused");
+            let msg = err.downcast_ref::<&str>().expect("a static panic message");
+            assert!(msg.contains("cannot checkpoint or stop early"), "{msg}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

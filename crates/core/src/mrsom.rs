@@ -22,7 +22,7 @@ use std::cell::RefCell;
 use std::time::Instant;
 
 use mpisim::{Comm, ReduceOp};
-use mrmpi::{DispatchPolicy, MapReduce, MapStyle, MrError, Settings};
+use mrmpi::{MapReduce, MapStyle, MrError, Settings};
 use som::batch::{init_codebook, BatchAccumulator};
 use som::codebook::Codebook;
 use som::neighborhood::{sigma_schedule, SomConfig};
@@ -262,7 +262,6 @@ pub fn run_mrsom_ft(
         let ft_report = mr.map_tasks_ft_report_with_verdict(
             blocks.len(),
             &fault.ft,
-            DispatchPolicy::Fifo,
             &mut |b, _kv| {
                 let (start, end) = blocks[b];
                 let t_load = Instant::now();

@@ -529,12 +529,6 @@ impl Comm {
         (wire::bytes_to_f64s(&msg.data), msg.status)
     }
 
-    /// Convenience: receive and decode a `u64` payload.
-    pub fn recv_u64s(&self, src: Rank, tag: Tag) -> (Vec<u64>, Status) {
-        let msg = self.recv(src, tag);
-        (wire::bytes_to_u64s(&msg.data), msg.status)
-    }
-
     /// Probe for a matching message without consuming it.
     pub fn probe(&self, src: Rank, tag: Tag) -> Option<Status> {
         self.shared.mailboxes[self.rank]

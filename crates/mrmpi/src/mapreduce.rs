@@ -342,15 +342,17 @@ impl<'c> MapReduce<'c> {
     /// numeric accumulator) must buffer per execution and fold on
     /// `commit == true` only; folding at execution time double-counts any
     /// execution the scheduler later discards.
+    ///
+    /// Units are dispatched FIFO: a numeric map has no resource for a
+    /// worker to be local to.
     pub fn map_tasks_ft_report_with_verdict(
         &mut self,
         ntasks: usize,
         cfg: &FtConfig,
-        policy: DispatchPolicy<'_>,
         f: &mut dyn FnMut(usize, &mut KvEmitter<'_>),
         on_verdict: &mut dyn FnMut(usize, bool),
     ) -> Result<FtMapReport, MrError> {
-        self.map_core(ntasks, Assign::Master(cfg, policy), f, on_verdict)
+        self.map_core(ntasks, Assign::Master(cfg, DispatchPolicy::Fifo), f, on_verdict)
     }
 
     /// The one map implementation behind every public entry point.

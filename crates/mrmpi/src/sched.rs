@@ -125,13 +125,14 @@ pub enum DispatchPolicy<'a> {
     Affinity(&'a [usize]),
 }
 
-/// Execute `run(task)` for every task index this rank is responsible for.
-/// Returns the task indices executed locally, in execution order.
+/// Execute `run(task)` for every task index a static mapstyle (`Chunk` or
+/// `RoundRobin`) gives this rank. Returns the task indices executed locally,
+/// in execution order.
 ///
-/// `MasterWorker` runs on the fault-tolerant scheduler with default
-/// [`FtConfig`] and FIFO dispatch; `run` publishes directly, and a scheduler
-/// error or a quarantined unit panics on the rank that sees it.
-pub fn assign_and_run(
+/// # Panics
+/// Panics on `MasterWorker`: it has no static assignment and runs on
+/// [`assign_and_run_ft_report`].
+pub(crate) fn assign_and_run(
     comm: &Comm,
     ntasks: usize,
     style: MapStyle,
@@ -142,20 +143,7 @@ pub fn assign_and_run(
     let mine: Vec<usize> = match style {
         MapStyle::Chunk => (rank * ntasks / size..(rank + 1) * ntasks / size).collect(),
         MapStyle::RoundRobin => (rank..ntasks).step_by(size).collect(),
-        MapStyle::MasterWorker => {
-            let cfg = FtConfig::default();
-            let done = assign_and_run_ft_report(
-                comm,
-                ntasks,
-                &cfg,
-                DispatchPolicy::Fifo,
-                &mut run,
-                &mut |_, _| {},
-            )
-            .unwrap_or_else(|e| panic!("master-worker run failed: {e}"));
-            assert!(done.quarantined.is_empty(), "units {:?} kept panicking", done.quarantined);
-            return done.units;
-        }
+        MapStyle::MasterWorker => panic!("MasterWorker runs on the fault-tolerant scheduler"),
     };
     mine.iter().for_each(|&t| run(t));
     mine
@@ -1633,16 +1621,25 @@ mod tests {
         assert_eq!(got[2], vec![2, 5, 8]);
     }
 
+    /// The fault-tolerant scheduler with no faults: per rank, the units it
+    /// ran. `affinity` selects affinity dispatch; `None` is FIFO.
+    fn master_worker(ranks: usize, ntasks: usize, affinity: Option<Vec<usize>>) -> Vec<Vec<usize>> {
+        World::new(ranks).run(move |comm| {
+            let policy = affinity.as_deref().map_or(DispatchPolicy::Fifo, DispatchPolicy::Affinity);
+            ft_units(comm, ntasks, &FtConfig::default(), policy, |_| {}).expect("fault-free run")
+        })
+    }
+
     #[test]
     fn master_worker_partitions_and_master_idles() {
-        let got = run_style(4, 23, MapStyle::MasterWorker);
+        let got = master_worker(4, 23, None);
         assert!(got[0].is_empty(), "master must not execute tasks");
         assert_partition(&got, 23);
     }
 
     #[test]
     fn master_worker_zero_tasks_terminates() {
-        let got = run_style(3, 0, MapStyle::MasterWorker);
+        let got = master_worker(3, 0, None);
         for m in got {
             assert!(m.is_empty());
         }
@@ -1650,32 +1647,24 @@ mod tests {
 
     #[test]
     fn master_worker_fewer_tasks_than_workers() {
-        let got = run_style(8, 3, MapStyle::MasterWorker);
+        let got = master_worker(8, 3, None);
         assert_partition(&got, 3);
     }
 
     #[test]
     fn single_rank_runs_everything_for_every_style() {
-        for style in [MapStyle::Chunk, MapStyle::RoundRobin, MapStyle::MasterWorker] {
+        for style in [MapStyle::Chunk, MapStyle::RoundRobin] {
             let got = run_style(1, 7, style);
             assert_eq!(got[0], (0..7).collect::<Vec<_>>());
         }
-    }
-
-    /// The fault-tolerant scheduler with affinity dispatch and no faults:
-    /// the units this rank ran.
-    fn affinity_units(comm: &mpisim::Comm, ntasks: usize, affinity: &[usize]) -> Vec<usize> {
-        ft_units(comm, ntasks, &FtConfig::default(), DispatchPolicy::Affinity(affinity), |_| {})
-            .expect("fault-free run")
+        assert_eq!(master_worker(1, 7, None)[0], (0..7).collect::<Vec<_>>());
     }
 
     #[test]
     fn affinity_scheduler_partitions_tasks_exactly() {
         let ntasks = 30;
         let affinity: Vec<usize> = (0..ntasks).map(|t| t % 5).collect();
-        let got = World::new(4).run(move |comm| {
-            affinity_units(comm, ntasks, &affinity)
-        });
+        let got = master_worker(4, ntasks, Some(affinity));
         assert!(got[0].is_empty(), "master must not execute tasks");
         assert_partition(&got, ntasks);
     }
@@ -1686,10 +1675,7 @@ mod tests {
         // fewer resource switches than task count.
         let ntasks = 30;
         let affinity: Vec<usize> = (0..ntasks).map(|t| t / 10).collect();
-        let aff = affinity.clone();
-        let got = World::new(5).run(move |comm| {
-            affinity_units(comm, ntasks, &aff)
-        });
+        let got = master_worker(5, ntasks, Some(affinity.clone()));
         assert_partition(&got, ntasks);
         let mut total_switches = 0usize;
         for tasks in &got[1..] {
@@ -1712,16 +1698,16 @@ mod tests {
 
     #[test]
     fn affinity_scheduler_single_rank_and_zero_tasks() {
-        let got = World::new(1).run(|comm| affinity_units(comm, 4, &[0, 1, 0, 1]));
+        let got = master_worker(1, 4, Some(vec![0, 1, 0, 1]));
         assert_eq!(got[0], vec![0, 1, 2, 3]);
-        let got = World::new(3).run(|comm| affinity_units(comm, 0, &[]));
+        let got = master_worker(3, 0, Some(vec![]));
         assert!(got.iter().all(Vec::is_empty));
     }
 
     #[test]
     #[should_panic(expected = "one affinity per task")]
     fn affinity_length_mismatch_panics() {
-        let _ = World::new(1).run(|comm| affinity_units(comm, 3, &[0]));
+        master_worker(1, 3, Some(vec![0]));
     }
 
     #[test]
@@ -1738,9 +1724,10 @@ mod tests {
         let fast = 1.0;
         let total = slow + (ntasks - 1) as f64 * fast;
         let times = World::new(3).run(move |comm| {
-            assign_and_run(comm, ntasks, MapStyle::MasterWorker, |t| {
+            ft_units(comm, ntasks, &FtConfig::default(), DispatchPolicy::Fifo, |t| {
                 comm.charge(if t == 0 { slow } else { fast });
-            });
+            })
+            .expect("fault-free run");
             comm.barrier();
             comm.now()
         });
@@ -1774,14 +1761,9 @@ mod tests {
     fn ft_run(
         size: usize,
         ntasks: usize,
-        plan: Option<FaultPlan>,
+        plan: FaultPlan,
     ) -> Vec<RankOutcome<Result<Vec<usize>, SchedError>>> {
-        let mut world = World::new(size);
-        if let Some(p) = plan {
-            world = world.with_faults(p);
-        }
-        let world = world;
-        world.run_faulty(move |comm| {
+        World::new(size).with_faults(plan).run_faulty(move |comm| {
             ft_units(comm, ntasks, &FtConfig::default(), DispatchPolicy::Fifo, |_| {})
         })
     }
@@ -1806,29 +1788,11 @@ mod tests {
     }
 
     #[test]
-    fn ft_no_faults_matches_plain_master_worker_semantics() {
-        let outcomes = ft_run(4, 13, None);
-        for o in &outcomes {
-            assert!(matches!(o, RankOutcome::Done(Ok(_))));
-        }
-        assert_exact_partition(&outcomes, 13);
-    }
-
-    #[test]
-    fn ft_single_rank_runs_everything_locally() {
-        let outcomes = ft_run(1, 5, None);
-        match &outcomes[0] {
-            RankOutcome::Done(Ok(units)) => assert_eq!(units, &[0, 1, 2, 3, 4]),
-            other => panic!("unexpected outcome: {other:?}"),
-        }
-    }
-
-    #[test]
     fn ft_one_worker_death_redispatches_its_units() {
         // Rank 2 dies almost immediately; its in-flight unit and anything it
         // had completed must be re-run by the survivors.
         let plan = FaultPlan::new(11).kill(2, 0.0);
-        let outcomes = ft_run(4, 20, Some(plan));
+        let outcomes = ft_run(4, 20, plan);
         assert!(outcomes[2].is_died(), "rank 2 should have died");
         assert!(matches!(&outcomes[0], RankOutcome::Done(Ok(_))));
         assert_exact_partition(&outcomes, 20);
@@ -1837,7 +1801,7 @@ mod tests {
     #[test]
     fn ft_two_worker_deaths_still_complete_every_unit() {
         let plan = FaultPlan::new(23).kill(1, 0.0).kill(3, 0.0);
-        let outcomes = ft_run(5, 24, Some(plan));
+        let outcomes = ft_run(5, 24, plan);
         assert!(outcomes[1].is_died() && outcomes[3].is_died());
         assert!(matches!(&outcomes[0], RankOutcome::Done(Ok(_))));
         assert_exact_partition(&outcomes, 24);
@@ -1861,7 +1825,7 @@ mod tests {
     #[test]
     fn ft_all_workers_dead_yields_typed_error_not_hang() {
         let plan = FaultPlan::new(3).kill(1, 0.0).kill(2, 0.0);
-        let outcomes = ft_run(3, 9, Some(plan));
+        let outcomes = ft_run(3, 9, plan);
         assert!(outcomes[1].is_died() && outcomes[2].is_died());
         match &outcomes[0] {
             RankOutcome::Done(Err(SchedError::AllWorkersDead)) => {}
@@ -1877,19 +1841,11 @@ mod tests {
         let plan = FaultPlan::new(99)
             .drop_p2p(1, 0, 0.5)
             .drop_p2p(0, 1, 0.5);
-        let outcomes = ft_run(3, 16, Some(plan));
+        let outcomes = ft_run(3, 16, plan);
         for o in &outcomes {
             assert!(matches!(o, RankOutcome::Done(Ok(_))), "outcome: {o:?}");
         }
         assert_exact_partition(&outcomes, 16);
-    }
-
-    #[test]
-    fn ft_zero_tasks_terminates_cleanly() {
-        let outcomes = ft_run(3, 0, None);
-        for o in &outcomes {
-            assert!(matches!(o, RankOutcome::Done(Ok(units)) if units.is_empty()));
-        }
     }
 
     #[test]
@@ -1899,7 +1855,7 @@ mod tests {
         // across runs — only the output-visible contract is deterministic).
         for _ in 0..3 {
             let plan = FaultPlan::new(41).kill(2, 0.0).drop_p2p(1, 0, 0.3);
-            let outcomes = ft_run(4, 18, Some(plan));
+            let outcomes = ft_run(4, 18, plan);
             assert!(outcomes[2].is_died());
             assert_exact_partition(&outcomes, 18);
         }

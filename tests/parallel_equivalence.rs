@@ -221,29 +221,34 @@ fn sorted_hits(mut hits: Vec<Hit>) -> Vec<Hit> {
     hits
 }
 
-/// Run the driver under a fault plan; panic if any survivor errors, return
-/// the survivors' combined hits and the death count.
+/// Run the driver under a fault plan with a trace attached; panic if any
+/// survivor errors, return the survivors' combined hits, the death count,
+/// the survivors' partition loads and the trace.
 fn run_parallel_ft(
     fx: &BlastFixture,
     ranks: usize,
     plan: FaultPlan,
     cfg: MrBlastConfig,
-) -> (Vec<Hit>, usize) {
+) -> (Vec<Hit>, usize, u64, obs::Trace) {
     let db = fx.db.clone();
     let blocks = fx.blocks.clone();
+    let collector = obs::Collector::new();
     let outcomes = World::new(ranks)
         .with_faults(plan)
+        .with_obs(collector.clone())
         .run_faulty(move |comm| run_mrblast(comm, &db, &blocks, &cfg));
-    let mut hits = Vec::new();
-    let mut died = 0;
+    let (mut hits, mut died, mut loads) = (Vec::new(), 0, 0);
     for (rank, out) in outcomes.into_iter().enumerate() {
         match out {
-            RankOutcome::Done(Ok(rep)) => hits.extend(rep.hits),
+            RankOutcome::Done(Ok(rep)) => {
+                hits.extend(rep.hits);
+                loads += rep.db_loads;
+            }
             RankOutcome::Done(Err(e)) => panic!("surviving rank {rank} failed: {e}"),
             RankOutcome::Died { .. } => died += 1,
         }
     }
-    (hits, died)
+    (hits, died, loads, collector.trace())
 }
 
 #[test]
@@ -251,7 +256,7 @@ fn blast_equivalence_with_one_injected_worker_death() {
     let fx = blast_fixture(1007, "ft1");
     // The kill fires on worker 2's first operation: it never completes a
     // unit, and the survivors take over its share.
-    let (hits, died) =
+    let (hits, died, ..) =
         run_parallel_ft(&fx, 4, FaultPlan::new(90).kill(2, 0.0), MrBlastConfig::blastn());
     assert_eq!(died, 1, "the planned death must fire");
     assert_eq!(
@@ -270,7 +275,7 @@ fn blast_equivalence_with_two_of_eight_workers_killed_mid_map() {
     // mid-map deaths whose finished output dies with them, the worst case
     // for the recovery protocol.
     let plan = FaultPlan::new(91).kill(3, 1e-4).kill(6, 2e-4);
-    let (hits, died) = run_parallel_ft(&fx, 9, plan, MrBlastConfig::blastn());
+    let (hits, died, ..) = run_parallel_ft(&fx, 9, plan, MrBlastConfig::blastn());
     assert_eq!(died, 2, "both planned deaths must fire");
     assert_eq!(
         sorted_hits(hits),
@@ -282,6 +287,8 @@ fn blast_equivalence_with_two_of_eight_workers_killed_mid_map() {
 #[test]
 fn locality_with_worker_death_matches_serial() {
     let fx = blast_fixture(1012, "ftloc");
+    let nparts = fx.db.num_partitions();
+    let ntasks = fx.blocks.len() * nparts;
     // 4 ranks: master + 3 workers under the locality-aware master. Worker 2
     // dies inside its first unit, while the others are mapping; the unit it
     // held requeues through the same affinity rule, and the survivors'
@@ -290,12 +297,32 @@ fn locality_with_worker_death_matches_serial() {
         schedule: Schedule::Locality(FaultConfig::default()),
         ..MrBlastConfig::blastn()
     };
-    let (hits, died) = run_parallel_ft(&fx, 4, FaultPlan::new(92).kill(2, 1e-4), cfg);
+    let (hits, died, survivor_loads, trace) =
+        run_parallel_ft(&fx, 4, FaultPlan::new(92).kill(2, 1e-4), cfg);
     assert_eq!(died, 1, "the planned death must fire");
     assert_eq!(
         sorted_hits(hits),
         sorted_hits(fx.serial.clone()),
         "locality dispatch with a worker death: output must equal serial bit-for-bit"
+    );
+    // Worker 2 was inside a unit when it died, and the master handed that
+    // unit out again.
+    let dead = trace.ranks.iter().find(|r| r.rank == 2).expect("rank 2 traced");
+    assert!(dead.events.iter().any(|e| e.name() == "sched.unit"), "worker 2 held no unit");
+    assert_eq!(trace.counter_total("sched.commit"), ntasks as u64);
+    assert!(
+        trace.counter_total("sched.dispatch") > ntasks as u64,
+        "worker 2's unit was never dispatched again"
+    );
+    // Only affinity dispatch keeps the survivors on their partitions: each
+    // partition is loaded once when a survivor first claims it, plus at most
+    // one load per survivor that joins the other's last partition, plus one
+    // if the requeued unit returns after its partition was drained. FIFO
+    // hands the two survivors alternate units of the same partition, so
+    // both load nearly every partition (10-11 loads for 5 partitions here).
+    assert!(
+        survivor_loads <= (nparts + 3) as u64,
+        "survivors loaded {survivor_loads} partitions for {nparts} partitions"
     );
 }
 
