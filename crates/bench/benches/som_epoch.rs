@@ -1,6 +1,6 @@
-//! Microbenchmarks of the SOM kernels: BMU search, one batch accumulation,
-//! a full epoch, and the accumulator merge — the constants behind the
-//! Fig. 6 scaling model (`SomScenario::per_vector_s`).
+//! Microbenchmarks of the SOM kernels: BMU search (one vector and a block),
+//! one batch accumulation, a full epoch, and the accumulator merge — the
+//! constants behind the Fig. 6 scaling model (`SomScenario::per_vector_s`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -31,6 +31,8 @@ fn bench_bmu(c: &mut Criterion) {
     let cb = paper_codebook();
     let input = bioseq::gen::random_vectors(2, 1, 256).remove(0);
     c.bench_function("bmu_50x50x256", |b| b.iter(|| black_box(cb.bmu(&input))));
+    let block = bioseq::gen::random_vectors(3, 40, 256);
+    c.bench_function("bmus_block40_50x50x256", |b| b.iter(|| black_box(cb.bmus(&block))));
 }
 
 fn bench_accumulate(c: &mut Criterion) {

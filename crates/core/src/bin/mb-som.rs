@@ -42,6 +42,16 @@ fn usage() {
     );
 }
 
+/// A file removed when the guard drops: on success, on every error return
+/// and while a rank's panic unwinds.
+struct TempFile(std::path::PathBuf);
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        std::fs::remove_file(&self.0).ok();
+    }
+}
+
 fn run() -> Result<(), String> {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     if raw.is_empty() || raw.iter().any(|a| a == "--help" || a == "-h") {
@@ -54,6 +64,12 @@ fn run() -> Result<(), String> {
     let epochs = args.get_usize("epochs", 10)?;
     let ranks = args.get_usize("ranks", 4)?;
     let block_size = args.get_usize("block-size", 40)?;
+    let sizes = [("rows", rows), ("cols", cols), ("ranks", ranks), ("block-size", block_size)];
+    for (flag, v) in sizes {
+        if v == 0 {
+            return Err(format!("--{flag} must be at least 1"));
+        }
+    }
     let seed = args.get_usize("seed", 42)? as u64;
     let kernel = match args.get("kernel").unwrap_or("gaussian") {
         "gaussian" => Kernel::Gaussian,
@@ -65,8 +81,9 @@ fn run() -> Result<(), String> {
     let umatrix_out = args.get("umatrix").map(String::from);
     let rgb_out = args.get("rgb").map(String::from);
 
-    // Resolve the input to a matrix file.
-    let tmp_matrix;
+    // Resolve the input to a matrix file. A converted FASTA input lives in
+    // a temporary file that the guard removes however `run` returns.
+    let _tmp_matrix: TempFile;
     let matrix_path = if let Some(m) = args.get("input") {
         m.to_string()
     } else {
@@ -77,10 +94,11 @@ fn run() -> Result<(), String> {
         let records = read_fasta_file(&fasta).map_err(|e| format!("read {fasta}: {e}"))?;
         let vectors: Vec<Vec<f64>> =
             records.iter().map(|r| tetra_frequencies(&r.seq)).collect();
-        tmp_matrix = std::env::temp_dir().join(format!("mb-som-{}.bin", std::process::id()));
-        VectorMatrix::create(&tmp_matrix, &vectors).map_err(|e| format!("write matrix: {e}"))?;
+        let path = std::env::temp_dir().join(format!("mb-som-{}.bin", std::process::id()));
+        _tmp_matrix = TempFile(path.clone());
+        VectorMatrix::create(&path, &vectors).map_err(|e| format!("write matrix: {e}"))?;
         eprintln!("computed {} tetranucleotide vectors from {fasta}", vectors.len());
-        tmp_matrix.to_string_lossy().into_owned()
+        path.to_string_lossy().into_owned()
     };
     args.reject_unknown()?;
 

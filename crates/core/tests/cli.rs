@@ -114,8 +114,12 @@ fn som_cli_on_tetra_vectors() {
     std::fs::create_dir_all(&dir).unwrap();
     let (refs, _) = write_fixture(&dir);
     let um = dir.join("u.pgm");
+    // The tool's temporary files go to a fresh directory that must be empty
+    // again when it exits.
+    let tmp = dir.join("tmp");
+    std::fs::create_dir_all(&tmp).unwrap();
 
-    let out = run_ok(Command::new(env!("CARGO_BIN_EXE_mb-som")).args([
+    let out = run_ok(Command::new(env!("CARGO_BIN_EXE_mb-som")).env("TMPDIR", &tmp).args([
         "--fasta",
         refs.to_str().unwrap(),
         "--tetra",
@@ -136,7 +140,29 @@ fn som_cli_on_tetra_vectors() {
     assert!(out.contains("trained in"), "som output: {out}");
     let img = std::fs::read(&um).expect("U-matrix image written");
     assert!(img.starts_with(b"P5\n6 6\n255\n"));
+    let left: Vec<_> = std::fs::read_dir(&tmp).unwrap().collect();
+    assert!(left.is_empty(), "mb-som left temporary files behind: {left:?}");
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn som_cli_rejects_zero_sizes_as_usage_errors() {
+    let dir = std::env::temp_dir().join(format!("cli-som-zero-{}", std::process::id()));
+    let tmp = dir.join("tmp");
+    std::fs::create_dir_all(&tmp).unwrap();
+    let (refs, _) = write_fixture(&dir);
+    for flag in ["--block-size", "--ranks"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_mb-som"))
+            .env("TMPDIR", &tmp)
+            .args(["--fasta", refs.to_str().unwrap(), "--tetra", flag, "0"])
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} 0: stderr: {err}");
+        assert!(err.starts_with("mb-som: ") && err.contains(flag), "{flag} 0: stderr: {err}");
+        assert_eq!(std::fs::read_dir(&tmp).unwrap().count(), 0, "{flag} 0 left a file behind");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -8,7 +8,7 @@
 //! the `mrbio` crate sums per-rank accumulators with `MPI_Reduce`, exactly
 //! as Fig. 2 of the paper shows.
 
-use crate::codebook::Codebook;
+use crate::codebook::{chunk_len, Codebook};
 use crate::neighborhood::{sigma_schedule, InitMethod, Kernel, SomConfig};
 
 /// Per-epoch accumulator: the numerator matrix (same shape as the codebook)
@@ -52,37 +52,57 @@ impl BatchAccumulator {
 
     /// Accumulate with an explicit neighborhood kernel.
     pub fn accumulate_with(&mut self, cb: &Codebook, input: &[f64], sigma: f64, kernel: Kernel) {
-        let bmu = cb.bmu(input);
-        for n in 0..cb.num_neurons() {
-            let h = kernel.eval(cb.grid_dist_sq(bmu, n), sigma);
-            if h < 1e-12 {
-                continue; // negligible neighborhood weight
-            }
-            self.denominator[n] += h;
-            let row = &mut self.numerator[n * self.dims..(n + 1) * self.dims];
-            for (acc, &x) in row.iter_mut().zip(input) {
-                *acc += h * x;
-            }
-        }
+        self.accumulate_block_with(cb, &[input], sigma, kernel);
     }
 
     /// Accumulate a block of inputs (a MapReduce work unit).
     pub fn accumulate_block(&mut self, cb: &Codebook, inputs: &[Vec<f64>], sigma: f64) {
-        for x in inputs {
-            self.accumulate(cb, x, sigma);
-        }
+        self.accumulate_block_with(cb, inputs, sigma, Kernel::Gaussian);
     }
 
-    /// Accumulate a block with an explicit kernel.
-    pub fn accumulate_block_with(
+    /// Accumulate a block with an explicit kernel: for every input, its BMU
+    /// against `cb`, then `h_bmu,n · x` into the numerator and `h_bmu,n`
+    /// into the denominator of every neuron `n` whose weight `h` is not
+    /// negligible.
+    ///
+    /// The loop is neuron-major over each chunk of inputs: a neuron's
+    /// numerator row stays hot while the chunk's inputs are added to it, in
+    /// input order, so every numerator and denominator element receives the
+    /// same terms in the same order as a per-input loop would give it. `h`
+    /// depends only on the grid offset between BMU and neuron, so it is
+    /// evaluated once per offset, through the same `grid_dist_sq` and
+    /// `Kernel::eval`, instead of once per input and neuron.
+    pub fn accumulate_block_with<V: AsRef<[f64]>>(
         &mut self,
         cb: &Codebook,
-        inputs: &[Vec<f64>],
+        inputs: &[V],
         sigma: f64,
         kernel: Kernel,
     ) {
-        for x in inputs {
-            self.accumulate_with(cb, x, sigma, kernel);
+        // h_by_offset[|dy| * cols + |dx|]: neuron `|dy| * cols + |dx|` sits
+        // at grid offset (|dx|, |dy|) from neuron 0, and `grid_dist_sq`
+        // depends on nothing but that offset (and folds it on a torus).
+        let h_by_offset: Vec<f64> =
+            (0..cb.num_neurons()).map(|off| kernel.eval(cb.grid_dist_sq(0, off), sigma)).collect();
+        let dims = self.dims;
+        for chunk in inputs.chunks(chunk_len(dims)) {
+            let bmus: Vec<(usize, usize)> =
+                cb.bmus(chunk).into_iter().map(|(bmu, _)| cb.coords(bmu)).collect();
+            for n in 0..cb.num_neurons() {
+                let (nx, ny) = cb.coords(n);
+                let row = &mut self.numerator[n * dims..(n + 1) * dims];
+                let den = &mut self.denominator[n];
+                for (x, &(bx, by)) in chunk.iter().zip(&bmus) {
+                    let h = h_by_offset[by.abs_diff(ny) * cb.cols + bx.abs_diff(nx)];
+                    if h < 1e-12 {
+                        continue; // negligible neighborhood weight
+                    }
+                    *den += h;
+                    for (acc, &x) in row.iter_mut().zip(x.as_ref()) {
+                        *acc += h * x;
+                    }
+                }
+            }
         }
     }
 
@@ -264,6 +284,17 @@ mod tests {
         let mut cb2 = cb.clone();
         acc.apply(&mut cb2);
         assert_eq!(cb, cb2, "empty accumulator must not move weights");
+    }
+
+    #[test]
+    fn maps_narrower_than_one_cell_train() {
+        // Half-diagonals 0, 0.5 and 0.71 are all below σ_end = 1.
+        for (rows, cols) in [(1, 1), (1, 2), (2, 2)] {
+            let cfg = SomConfig { rows, cols, ..small_config() };
+            let cb = batch_train(&clustered_inputs(), &cfg);
+            assert_eq!(cb.num_neurons(), rows * cols);
+            assert!(cb.weights.iter().all(|w| (0.0..=1.0).contains(w)), "{rows}x{cols}");
+        }
     }
 
     #[test]

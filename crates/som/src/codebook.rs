@@ -7,6 +7,20 @@
 
 use rand::Rng;
 
+/// Inputs compared against one codebook row at once by the blocked kernels,
+/// one per lane of an accumulator array.
+const LANES: usize = 8;
+
+/// Byte budget of one transposed chunk of inputs: small enough to stay in L2
+/// while the whole codebook streams past it.
+const CHUNK_BYTES: usize = 128 * 1024;
+
+/// Inputs per chunk of the blocked kernels: a whole number of lane groups
+/// whose copy fits in [`CHUNK_BYTES`] (at least one group).
+pub(crate) fn chunk_len(dims: usize) -> usize {
+    LANES * (CHUNK_BYTES / (LANES * dims * 8)).max(1)
+}
+
 /// A rows × cols grid of `dims`-dimensional weight vectors, stored row-major
 /// in one flat buffer (neuron `(x, y)` at index `y * cols + x`).
 #[derive(Debug, Clone, PartialEq)]
@@ -95,6 +109,72 @@ impl Codebook {
             }
         }
         best
+    }
+
+    /// Best matching unit and its squared distance for every input, in
+    /// input order: `bmus(xs)[i]` is `(bmu(x), dist_sq(bmu(x), x))` for
+    /// `x = xs[i]`, bit for bit.
+    ///
+    /// The blocked form of [`Codebook::bmu`]. Inputs are transposed into
+    /// lane-major groups of 8, a chunk of groups at a time, and each
+    /// codebook row is compared against a whole chunk while it is hot, so the
+    /// codebook streams once per chunk instead of once per input. Every lane
+    /// still sums `(w − x)²` over the dimensions in order from zero, and
+    /// neurons are still visited in ascending order with a strict `<`, so
+    /// each distance, each BMU and the lowest-index tie rule are those of
+    /// the single-vector path.
+    ///
+    /// # Panics
+    /// Panics if an input's length is not `dims`.
+    pub fn bmus<V: AsRef<[f64]>>(&self, inputs: &[V]) -> Vec<(usize, f64)> {
+        let dims = self.dims;
+        let mut out = Vec::with_capacity(inputs.len());
+        let mut lanes: Vec<[f64; LANES]> = Vec::new();
+        for chunk in inputs.chunks(chunk_len(dims)) {
+            // lanes[g * dims + d][l] = chunk[g * LANES + l][d]; the unused
+            // lanes of a short last group stay zero and are never read back.
+            let groups = chunk.len().div_ceil(LANES);
+            lanes.clear();
+            lanes.resize(groups * dims, [0.0; LANES]);
+            for (i, x) in chunk.iter().enumerate() {
+                let x = x.as_ref();
+                assert_eq!(x.len(), dims, "input has {} dims, codebook has {dims}", x.len());
+                let group = &mut lanes[(i / LANES) * dims..][..dims];
+                for (slot, &v) in group.iter_mut().zip(x) {
+                    slot[i % LANES] = v;
+                }
+            }
+            let mut best = vec![[0usize; LANES]; groups];
+            let mut best_d = vec![[f64::INFINITY; LANES]; groups];
+            for n in 0..self.num_neurons() {
+                let w = self.neuron(n);
+                for (g, xt) in lanes.chunks_exact(dims).enumerate() {
+                    let mut acc = [0.0f64; LANES];
+                    for (&wd, x) in w.iter().zip(xt) {
+                        for l in 0..LANES {
+                            let t = wd - x[l];
+                            acc[l] += t * t;
+                        }
+                    }
+                    // Ascending neuron order, strict `<`: the first of equal
+                    // distances stays the BMU.
+                    for l in 0..LANES {
+                        if acc[l] < best_d[g][l] {
+                            best_d[g][l] = acc[l];
+                            best[g][l] = n;
+                        }
+                    }
+                }
+            }
+            for (i, x) in chunk.iter().enumerate() {
+                let (b, d) = (best[i / LANES][i % LANES], best_d[i / LANES][i % LANES]);
+                // No distance beat infinity (all NaN or infinite): the BMU is
+                // neuron 0, whose own distance is what `dist_sq` reports.
+                let d = if d < f64::INFINITY { d } else { self.dist_sq(0, x.as_ref()) };
+                out.push((b, d));
+            }
+        }
+        out
     }
 
     /// Squared distance between two neurons in *grid* space (respecting the

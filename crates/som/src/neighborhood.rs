@@ -125,9 +125,12 @@ impl SomConfig {
         SomConfig { rows: 50, cols: 50, dims, epochs, ..SomConfig::default() }
     }
 
-    /// Effective σ0 for a given codebook shape.
+    /// Effective σ0 for a given codebook shape: the explicit `sigma0`, or
+    /// else the half-diagonal, but never below `sigma_end` — on maps whose
+    /// half-diagonal is under one cell (1×1, 1×2, 2×2) the schedule starts
+    /// and stays at "the width of a single cell" (§II.D).
     pub fn sigma0_for(&self, half_diagonal: f64) -> f64 {
-        self.sigma0.unwrap_or(half_diagonal)
+        self.sigma0.unwrap_or_else(|| half_diagonal.max(self.sigma_end))
     }
 }
 
@@ -182,5 +185,14 @@ mod tests {
         assert_eq!((cfg.rows, cfg.cols, cfg.dims), (50, 50, 256));
         let half = 0.5 * (2.0f64 * 49.0 * 49.0).sqrt();
         assert_eq!(cfg.sigma0_for(half), half);
+    }
+
+    #[test]
+    fn default_sigma0_never_starts_below_the_final_width() {
+        let cfg = SomConfig::default();
+        assert_eq!(cfg.sigma0_for(0.0), cfg.sigma_end);
+        assert_eq!(cfg.sigma0_for(0.5), cfg.sigma_end);
+        assert_eq!(cfg.sigma0_for(3.0), 3.0);
+        assert_eq!(SomConfig { sigma0: Some(2.0), ..cfg }.sigma0_for(0.5), 2.0);
     }
 }

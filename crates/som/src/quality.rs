@@ -11,7 +11,7 @@ pub fn quantization_error(cb: &Codebook, inputs: &[Vec<f64>]) -> f64 {
     if inputs.is_empty() {
         return 0.0;
     }
-    inputs.iter().map(|x| cb.dist_sq(cb.bmu(x), x).sqrt()).sum::<f64>() / inputs.len() as f64
+    cb.bmus(inputs).iter().map(|&(_, d)| d.sqrt()).sum::<f64>() / inputs.len() as f64
 }
 
 /// Fraction of inputs whose best and second-best matching units are *not*

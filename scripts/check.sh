@@ -17,6 +17,12 @@ cargo test -q
 echo "== cargo test -q -p blast (engine unit tests, DP-kernel and seed-table references) =="
 cargo test -q -p blast
 
+echo "== cargo test -q -p som (SOM unit tests, blocked-kernel references) =="
+cargo test -q -p som
+
+echo "== cargo test -q -p mrbio --test cli (the shipped CLIs as subprocesses) =="
+cargo test -q -p mrbio --test cli
+
 echo "== fault-mode smoke: 2 of 8 workers killed mid-map, bit-for-bit BLAST =="
 cargo test -q --test parallel_equivalence blast_equivalence_with_two_of_eight_workers_killed_mid_map
 
