@@ -73,7 +73,10 @@ fn main() {
     let blocks = Arc::new(query_blocks(w.queries, 4));
 
     println!();
-    header("Real small-scale check (4 ranks)", &["scheduler", "db_loads", "hits"]);
+    header(
+        "Real small-scale check (4 ranks)",
+        &["scheduler", "db_loads", "query_prepares", "hits"],
+    );
     for locality in [false, true] {
         let db = db.clone();
         let blocks = blocks.clone();
@@ -89,6 +92,7 @@ fn main() {
         row(&[
             if locality { "locality-aware".into() } else { "plain master".to_string() },
             reports.iter().map(|r| r.db_loads).sum::<u64>().to_string(),
+            reports.iter().map(|r| r.query_prepares).sum::<u64>().to_string(),
             reports.iter().map(|r| r.hits.len()).sum::<usize>().to_string(),
         ]);
     }

@@ -40,7 +40,7 @@ fn usage() {
          --block-size <n>  queries per work-unit block (default 100)\n  \
          --out <dir>       write per-rank tabular files here\n  \
          --exclude-self    drop hits of fragments against their source sequence\n  \
-         --locality        locality-aware master (future-work scheduler)\n  \
+         --locality        locality-aware master: keep each worker on one DB\n                    partition (for loads that outweigh query prepares)\n  \
          --adaptive        dynamic block sizing from a FASTA offset index\n  \
          --trace <file>    record a per-rank trace; writes Chrome/Perfetto JSON\n  \
                     (load at ui.perfetto.dev) and prints a per-stage summary"
@@ -153,13 +153,13 @@ fn run() -> Result<(), String> {
     }
     let total_hits: usize = reports.iter().map(|r| r.hits.len()).sum();
     let loads: u64 = reports.iter().map(|r| r.db_loads).sum();
+    let prepares: u64 = reports.iter().map(|r| r.query_prepares).sum();
     let busy: f64 = reports.iter().map(|r| r.busy.busy_total()).sum();
 
     println!(
-        "{total_hits} hits for {queries_n} queries in {:.2}s wall ({} partition loads, {:.2}s engine time)",
+        "{total_hits} hits for {queries_n} queries in {:.2}s wall ({loads} partition loads, \
+         {prepares} query-block prepares, {busy:.2}s engine time)",
         t0.elapsed().as_secs_f64(),
-        loads,
-        busy
     );
     // Every rank reports the same quarantine list.
     let quarantined = reports[0].quarantined.len();

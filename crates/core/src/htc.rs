@@ -75,7 +75,8 @@ pub fn run_htc(
             HtcAssignment::RoundRobin => job % workers,
             HtcAssignment::Chunk => job * workers / njobs.max(1),
         };
-        // Partition-major ordering, as in the MR-MPI driver.
+        // Partition-major ordering, the paper's MR-MPI order (the MR-MPI
+        // driver here numbers its units block-major).
         let part_idx = job / query_blocks.len();
         let block_idx = job % query_blocks.len();
 

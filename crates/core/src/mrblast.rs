@@ -6,7 +6,11 @@
 //!    pre-formatted into partitions (`bioseq::db`);
 //! 2. work items are `(query block, DB partition)` tuples; `map()` is run
 //!    on the fault-tolerant master-worker scheduler so that "each worker is
-//!    kept occupied as long as there are remaining work units";
+//!    kept occupied as long as there are remaining work units". The paper
+//!    numbers units partition-major so its cached DB object is reused; here
+//!    a query-block prepare (encode, DUST, lookup build) costs 50-100x a
+//!    partition load, so units are numbered block-major and each worker
+//!    keeps one prepared block and one partition cached;
 //! 3. each `map()` call runs the serial engine with the DB length overridden
 //!    to the whole database and emits `(query id → encoded HSP)` pairs;
 //! 4. a checked `aggregate()` + `convert()` (collate with accounting)
@@ -19,7 +23,7 @@
 //!    set held in memory between `map()` and `reduce()`.
 
 use std::borrow::Cow;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::io::Write;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -47,14 +51,18 @@ pub enum Schedule {
     Chunk,
     /// Strided units per rank (mapstyle 1); static like [`Schedule::Chunk`].
     RoundRobin,
-    /// The fault-tolerant master hands out units in partition-major order
+    /// The fault-tolerant master hands out units in block-major order
     /// (mapstyle 2, the paper's choice), so "each worker is kept occupied as
-    /// long as there are remaining work units". It survives worker deaths,
-    /// master loss, stragglers and poison units as the [`FaultConfig`] says.
+    /// long as there are remaining work units". A worker's query blocks then
+    /// never decrease, so it prepares each block at most once. It survives
+    /// worker deaths, master loss, stragglers and poison units as the
+    /// [`FaultConfig`] says.
     MasterWorker(FaultConfig),
     /// [`Schedule::MasterWorker`] with the paper's future-work
     /// locality-aware master: a worker preferentially receives units of the
-    /// DB partition it already holds.
+    /// DB partition it already holds (at one rank too). This is the mode for
+    /// databases whose partition loads dominate the query-block prepares;
+    /// it trades prepares for loads.
     Locality(FaultConfig),
 }
 
@@ -155,6 +163,9 @@ pub struct MrBlastRankReport {
     /// Number of DB partition (re)loads this rank performed — the cache-miss
     /// counter behind the paper's superlinear-speedup discussion.
     pub db_loads: u64,
+    /// Number of query blocks this rank prepared (encode, DUST, lookup
+    /// build): the misses of its one-block prepared-query cache.
+    pub query_prepares: u64,
     /// Busy intervals spent inside the search engine (rank-local clock).
     pub busy: BusyTracker,
     /// Rank-local virtual time at completion.
@@ -246,6 +257,7 @@ pub(crate) fn drive(
         output_file: None,
         map_calls: 0,
         db_loads: 0,
+        query_prepares: 0,
         busy: BusyTracker::new(),
         finish_time: 0.0,
         quarantined: Vec::new(),
@@ -279,7 +291,7 @@ pub(crate) fn drive(
     // re-initialized if the different DB partition is required").
     let db_cache: RefCell<Option<(usize, DbPartition)>> = RefCell::new(None);
     let q_cache: RefCell<Option<(usize, PreparedQueries)>> = RefCell::new(None);
-    let counters: RefCell<(u64, u64)> = RefCell::new((0, 0)); // (map_calls, db_loads)
+    let (map_calls, db_loads, query_prepares) = (Cell::new(0), Cell::new(0), Cell::new(0));
     let busy: RefCell<BusyTracker> = RefCell::new(BusyTracker::new());
 
     let mut iters_this_run = 0usize;
@@ -293,21 +305,26 @@ pub(crate) fn drive(
         let mut mr = MapReduce::with_settings(comm, cfg.mr_settings.clone());
         // The work unit: one (query block, DB partition) search.
         let mut unit = |task: usize, kv: &mut mrmpi::KvEmitter<'_>| {
-            // Partition-major order: consecutive tasks share a partition, so
-            // sequential assignment reuses the cached DB object.
-            let part_idx = task / nblocks_iter;
-            let global_block = iter_start + task % nblocks_iter;
+            // Block-major order: consecutive tasks share a query block, so a
+            // worker handed units in order prepares each block at most once.
+            // On the benchmark workloads a prepare costs 50-100x a
+            // partition load, so this is the cache worth keeping warm
+            // (DESIGN.md §5).
+            let global_block = iter_start + task / nparts;
+            let part_idx = task % nparts;
 
-            counters.borrow_mut().0 += 1;
+            map_calls.set(map_calls.get() + 1);
 
-            // DB partition cache.
+            // DB partition cache. The stale partition is dropped before the
+            // next one loads, so a rank never holds two.
             let mut db_slot = db_cache.borrow_mut();
             let reload = !matches!(&*db_slot, Some((idx, _)) if *idx == part_idx);
             if reload {
+                *db_slot = None;
                 let t0 = Instant::now();
                 let part = db.load_partition(part_idx).expect("load DB partition");
                 comm.charge(t0.elapsed().as_secs_f64());
-                counters.borrow_mut().1 += 1;
+                db_loads.set(db_loads.get() + 1);
                 if let Some(o) = comm.obs() {
                     o.add("blast.db_loads", 1);
                 }
@@ -322,12 +339,18 @@ pub(crate) fn drive(
             let (_, part) = db_slot.as_ref().expect("cache just filled");
 
             // Prepared-query cache (global block index across iterations).
+            // The stale block's lookup table is freed before the next build.
             let mut q_slot = q_cache.borrow_mut();
             let rebuild = !matches!(&*q_slot, Some((idx, _)) if *idx == global_block);
             if rebuild {
+                *q_slot = None;
                 let t0 = Instant::now();
                 let prepared = searcher.prepare_queries(&queries.block(global_block));
                 comm.charge(t0.elapsed().as_secs_f64());
+                query_prepares.set(query_prepares.get() + 1);
+                if let Some(o) = comm.obs() {
+                    o.add("blast.query_prepares", 1);
+                }
                 *q_slot = Some((global_block, prepared));
             }
             let (_, prepared) = q_slot.as_ref().expect("cache just filled");
@@ -362,19 +385,15 @@ pub(crate) fn drive(
                     .quarantined
             }
             Schedule::Locality(fault) => {
-                let partition: Vec<usize> = (0..ntasks).map(|t| t / nblocks_iter).collect();
+                let partition: Vec<usize> = (0..ntasks).map(|t| t % nparts).collect();
                 let policy = DispatchPolicy::Affinity(&partition);
                 mr.map_tasks_ft_report(ntasks, &fault.ft, policy, &mut unit)?.quarantined
             }
         };
-        // Re-encode this iteration's quarantined scheduler units (partition-
-        // major within the iteration) as stable global `(block, partition)`
-        // ids so the final report is meaningful across iterations.
-        for unit in quarantined {
-            let part_idx = unit / nblocks_iter as u64;
-            let global_block = (iter_start + unit as usize % nblocks_iter) as u64;
-            report.quarantined.push(global_block * nparts as u64 + part_idx);
-        }
+        // Scheduler units are block-major within the iteration, so the
+        // stable global id `block * nparts + partition` is an offset.
+        let first_id = (iter_start * nparts) as u64;
+        report.quarantined.extend(quarantined.into_iter().map(|unit| first_id + unit));
 
         // Checked shuffle + local grouping (collate() with accounting).
         mr.try_aggregate()?;
@@ -420,9 +439,9 @@ pub(crate) fn drive(
     }
     comm.barrier();
 
-    let (map_calls, db_loads) = *counters.borrow();
-    report.map_calls = map_calls;
-    report.db_loads = db_loads;
+    report.map_calls = map_calls.get();
+    report.db_loads = db_loads.get();
+    report.query_prepares = query_prepares.get();
     report.busy = busy.into_inner();
     report.finish_time = comm.now();
     report.quarantined.sort_unstable();
@@ -692,15 +711,49 @@ mod tests {
         let fx = Arc::new(fixture(27, "counters"));
         let nparts = fx.db.num_partitions() as u64;
         let nblocks = fx.blocks.len() as u64;
-        let fx2 = fx.clone();
-        let reports = World::new(1).run(move |comm| {
-            run_mrblast(comm, &fx2.db, &fx2.blocks, &MrBlastConfig::blastn()).unwrap()
-        });
-        let rep = &reports[0];
+        assert!(nparts > 1 && nblocks > 1, "need several partitions and blocks");
+        let run_with = |schedule: Schedule| {
+            let fx = fx.clone();
+            World::new(1)
+                .run(move |comm| {
+                    let cfg = MrBlastConfig { schedule: schedule.clone(), ..MrBlastConfig::blastn() };
+                    run_mrblast(comm, &fx.db, &fx.blocks, &cfg).unwrap()
+                })
+                .remove(0)
+        };
+        let rep = run_with(Schedule::MasterWorker(FaultConfig::default()));
         assert_eq!(rep.map_calls, nparts * nblocks);
-        // Partition-major order on a single rank: each partition loaded once.
-        assert_eq!(rep.db_loads, nparts, "one load per partition expected");
+        // Block-major order on a single rank: each query block is prepared
+        // once, and every unit moves on to the next partition.
+        assert_eq!(rep.query_prepares, nblocks, "one prepare per query block expected");
+        assert_eq!(rep.db_loads, nparts * nblocks, "one load per unit expected");
         assert!(rep.busy.busy_total() > 0.0);
         assert!(rep.finish_time >= rep.busy.busy_total() * 0.99);
+        // The locality-aware master keeps a rank on one partition at a time,
+        // at one rank too: one load per partition, one prepare per unit.
+        let rep = run_with(Schedule::Locality(FaultConfig::default()));
+        assert_eq!(rep.db_loads, nparts, "one load per partition expected");
+        assert_eq!(rep.query_prepares, nparts * nblocks);
+    }
+
+    #[test]
+    fn each_worker_prepares_a_query_block_at_most_once() {
+        // FIFO dispatch hands each worker a rising subsequence of the
+        // block-major units, so no worker comes back to a block it left.
+        let fx = Arc::new(fixture(29, "prepares"));
+        let nblocks = fx.blocks.len() as u64;
+        let ranks = 3;
+        let fx2 = fx.clone();
+        let reports = World::new(ranks).run(move |comm| {
+            run_mrblast(comm, &fx2.db, &fx2.blocks, &MrBlastConfig::blastn()).unwrap()
+        });
+        let prepares: u64 = reports.iter().map(|r| r.query_prepares).sum();
+        let workers = ranks as u64 - 1; // rank 0 holds the master role
+        assert!(
+            prepares <= workers * nblocks,
+            "{prepares} prepares for {nblocks} blocks on {workers} workers"
+        );
+        let parallel: Vec<Hit> = reports.into_iter().flat_map(|r| r.hits).collect();
+        assert_eq!(sorted(parallel), sorted(fx.serial.clone()));
     }
 }

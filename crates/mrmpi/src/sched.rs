@@ -31,9 +31,11 @@ const ABORT: u64 = u64::MAX - 1;
 /// Sentinel for "no unit completed yet" in a worker's request.
 const NO_UNIT: u64 = u64::MAX - 2;
 /// Sentinel `completed` value confirming receipt of `DONE`/`ABORT`
-/// (fault-tolerant scheduler only). The master keeps answering
-/// retransmissions until every live worker has said farewell, so a dropped
-/// termination reply cannot strand a worker.
+/// (fault-tolerant scheduler only). The master holds each farewell until
+/// every live worker has said farewell (a termination barrier: a worker can
+/// still die on receiving `DONE`), then answers them all with `DONE`. It
+/// keeps answering retransmissions until then, so a dropped termination
+/// reply cannot strand a worker.
 const FAREWELL: u64 = u64::MAX - 3;
 /// Sentinel reply telling a parked worker "no work yet, but I am alive"
 /// (fault-tolerant scheduler only); resets the worker's retry budget so a
@@ -361,7 +363,7 @@ pub fn assign_and_run_ft_report(
         assert_eq!(affinity.len(), ntasks, "one affinity per task");
     }
     if comm.size() == 1 {
-        return Ok(ft_run_local(comm, ntasks, cfg, run, verdict));
+        return Ok(ft_run_local(comm, ntasks, cfg, policy, run, verdict));
     }
     let round = comm.next_round();
     let board = comm.board();
@@ -491,24 +493,29 @@ pub fn ft_beacon(comm: &Comm) {
     }
 }
 
-/// Single-rank degenerate case: run every unit locally with panic isolation
-/// and the same retry-then-quarantine policy as the distributed path.
+/// Single-rank degenerate case: run every unit locally, in the order the
+/// `policy` would hand them to one worker, with panic isolation and the same
+/// retry-then-quarantine policy as the distributed path.
 fn ft_run_local(
     comm: &Comm,
     ntasks: usize,
     cfg: &FtConfig,
+    policy: DispatchPolicy<'_>,
     run: &mut dyn FnMut(usize),
     verdict: &mut dyn FnMut(usize, bool),
 ) -> FtRun {
+    let mut pending = Pending::new(ntasks, policy);
+    (0..ntasks as u64).for_each(|u| pending.push(u));
     let mut units = Vec::new();
     let mut quarantined = Vec::new();
-    for t in 0..ntasks {
+    while let Some(unit) = pending.pop_for(comm.rank()) {
+        let t = unit as usize;
         let mut fails = 0usize;
         loop {
             if let Some(o) = comm.obs() {
                 o.add("sched.dispatch", 1);
             }
-            if run_unit_isolated(comm, t as u64, run) {
+            if run_unit_isolated(comm, unit, run) {
                 verdict(t, true);
                 units.push(t);
                 if let Some(o) = comm.obs() {
@@ -520,7 +527,7 @@ fn ft_run_local(
             verdict(t, false); // drop any partial staging from the panic
             fails += 1;
             if fails >= cfg.poison_retries.max(1) {
-                quarantined.push(t as u64);
+                quarantined.push(unit);
                 if let Some(o) = comm.obs() {
                     o.add("sched.quarantine", 1);
                     o.instant(
@@ -571,6 +578,7 @@ enum MasterExit {
 }
 
 /// How one tenure serving a particular master ended, on the worker side.
+#[derive(Clone, Copy)]
 enum WorkerExit {
     /// Termination confirmed; this worker's run is over.
     Done,
@@ -706,6 +714,12 @@ struct FtMaster<'c> {
     /// current (doubling) backoff.
     spec_next: std::collections::HashMap<u64, (std::time::Instant, Duration)>,
     retired: std::collections::HashSet<usize>,
+    /// Farewells held at the termination barrier, as `(worker, seq)`: a
+    /// worker that has seen `DONE` is only released once every live worker
+    /// has said farewell, because a worker can still die on receiving its
+    /// own `DONE` and take committed output with it. Until then a death
+    /// reopens the run and the held workers go back to work.
+    leaving: Vec<(usize, u64)>,
     known_dead: std::collections::HashSet<usize>,
     abort: Option<u64>,
 }
@@ -836,6 +850,7 @@ impl FtMaster<'_> {
     fn reclaim(&mut self, worker: usize) {
         self.retired.remove(&worker);
         self.parked.retain(|&(w, _, _)| w != worker);
+        self.leaving.retain(|&(w, _)| w != worker);
         let inflight = self.inflight.remove(&worker);
         for unit in self.owned.remove(&worker).unwrap_or_default() {
             self.done[unit as usize] = false;
@@ -888,6 +903,30 @@ impl FtMaster<'_> {
         self.tick_gather();
         if !self.pending.is_empty() || self.settled() {
             self.flush_parked();
+        }
+        self.release_leaving();
+    }
+
+    /// Progress the termination barrier. Once the run has settled (or
+    /// aborted) and every live worker has said farewell, acknowledge all
+    /// held farewells with `DONE`. While a death has reopened the run,
+    /// hand its requeued units to held workers instead.
+    fn release_leaving(&mut self) {
+        if self.abort.is_none() && !self.settled() {
+            while !self.pending.is_empty() && !self.leaving.is_empty() {
+                let (worker, seq) = self.leaving.remove(0);
+                self.serve(worker, seq, V_NONE);
+            }
+            return;
+        }
+        if self.abort.is_none() && self.live_workers().any(|w| {
+            !self.retired.contains(&w) && !self.leaving.iter().any(|&(l, _)| l == w)
+        }) {
+            return;
+        }
+        for (worker, seq) in std::mem::take(&mut self.leaving) {
+            self.retired.insert(worker);
+            self.reply(worker, [seq, DONE, V_NONE]);
         }
     }
 
@@ -1109,8 +1148,11 @@ impl FtMaster<'_> {
             }
         }
         if completed == FAREWELL {
-            self.retired.insert(worker);
-            self.reply(worker, [seq, DONE, V_NONE]);
+            // Held until the barrier releases; duplicates meanwhile get
+            // `WAIT` like a parked request.
+            self.last.insert(worker, (seq, None));
+            self.leaving.push((worker, seq));
+            self.release_leaving();
             return;
         }
         self.last.insert(worker, (seq, None));
@@ -1125,12 +1167,6 @@ impl FtMaster<'_> {
                     self.ndone += 1;
                     self.owned.entry(worker).or_default().push(u);
                     self.journal(LOG_COMMIT, u, worker);
-                }
-            }
-            if let Some(expected) = &mut self.gathering {
-                expected.remove(&worker);
-                if expected.is_empty() {
-                    self.finish_gather();
                 }
             }
         }
@@ -1183,30 +1219,41 @@ impl FtMaster<'_> {
                 _ => {}
             }
         }
+        // The gather closes only after this contact's completion is
+        // arbitrated: closing it first would requeue that unit and could
+        // hand it to a parked worker while this one commits it.
+        if first_contact {
+            if let Some(expected) = &mut self.gathering {
+                expected.remove(&worker);
+                if expected.is_empty() {
+                    self.finish_gather();
+                }
+            }
+        }
         self.serve(worker, seq, verdict);
     }
 
-    /// Count live, not-yet-departed workers and whether every one of them
-    /// has confirmed termination. Master-agnostic: scans every rank but
-    /// this one. A rank that departed cleanly this round (e.g. under a
-    /// predecessor master) counts as confirmed.
+    /// Live, not-yet-departed workers. Master-agnostic: scans every rank
+    /// but this one. A rank that departed cleanly this round (e.g. under a
+    /// predecessor master) is no longer a worker of this tenure. A death
+    /// counts only once [`FtMaster::reap_deaths`] has reclaimed what the
+    /// rank owned, so no decision here can outrun that reclaim.
+    fn live_workers(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.comm.size()).filter(move |&w| {
+            w != self.comm.rank()
+                && !self.known_dead.contains(&w)
+                && !self.comm.board().is_departed(w, self.round)
+        })
+    }
+
+    /// Count live workers and whether every one of them has confirmed
+    /// termination.
     fn live_workers_all_retired(&self) -> (usize, bool) {
         let mut live = 0;
         let mut all_retired = true;
-        for worker in 0..self.comm.size() {
-            if worker == self.comm.rank() {
-                continue;
-            }
-            if self.known_dead.contains(&worker) || !self.comm.is_alive(worker) {
-                continue;
-            }
-            if self.comm.board().is_departed(worker, self.round) {
-                continue;
-            }
+        for worker in self.live_workers() {
             live += 1;
-            if !self.retired.contains(&worker) {
-                all_retired = false;
-            }
+            all_retired &= self.retired.contains(&worker);
         }
         (live, all_retired)
     }
@@ -1271,6 +1318,7 @@ fn ft_master_loop(
         last_heard: (0..comm.size()).filter(|&w| w != me).map(|w| (w, now)).collect(),
         spec_next: Default::default(),
         retired: Default::default(),
+        leaving: Vec::new(),
         known_dead: Default::default(),
         abort: None,
     };
@@ -1530,7 +1578,11 @@ fn ft_worker_phase(
     flag: &mut u64,
 ) -> WorkerExit {
     let mut first = true;
-    let outcome = loop {
+    // Set once the master has said `DONE` or `ABORT`: the next request is a
+    // farewell, and its `DONE` reply ends the tenure with this outcome. A
+    // unit in that reply means a death reopened the run.
+    let mut leaving: Option<WorkerExit> = None;
+    loop {
         *seq += 1;
         // Committed-unit claims ride only on the first request to this
         // master; it merges them exactly once (keyed on first contact).
@@ -1540,12 +1592,18 @@ fn ft_worker_phase(
             Vec::new()
         };
         first = false;
+        let (report, report_flag) = match leaving {
+            Some(_) => (FAREWELL, FLAG_NONE),
+            None => (*completed, *flag),
+        };
         let (code, verd) =
-            match ft_request(comm, cfg, master, *seq, *completed, *flag, &claims, mirror) {
+            match ft_request(comm, cfg, master, *seq, report, report_flag, &claims, mirror) {
                 Ok(r) => r,
                 // The un-arbitrated completion (if any) stays in
                 // `completed`/`flag` for the role state machine to resolve.
-                Err(died) => return WorkerExit::MasterGone { died },
+                // A farewell is best-effort: a master lost at the barrier
+                // leaves any reopened work to its successor.
+                Err(died) => return leaving.unwrap_or(WorkerExit::MasterGone { died }),
             };
         // The reply arbitrates the completion this request reported: commit
         // publishes the staged output, discard drops it (a backup won).
@@ -1563,11 +1621,15 @@ fn ft_worker_phase(
         *completed = NO_UNIT;
         *flag = FLAG_NONE;
         match code {
-            DONE => break WorkerExit::Done,
+            DONE => match leaving {
+                Some(outcome) => return outcome,
+                None => leaving = Some(WorkerExit::Done),
+            },
             // Workers don't learn which unit exhausted its budget; the
             // master's own return value carries it.
-            ABORT => break WorkerExit::Abort,
+            ABORT => leaving = Some(WorkerExit::Abort),
             unit => {
+                leaving = None;
                 if run_unit_isolated(comm, unit, run) {
                     *flag = FLAG_OK;
                 } else {
@@ -1577,13 +1639,7 @@ fn ft_worker_phase(
                 *completed = unit;
             }
         }
-    };
-    // Confirm we saw the termination reply so the master can stop serving
-    // retransmissions. Best-effort: if the master is already gone (or the
-    // farewell keeps getting dropped), we still return our result.
-    *seq += 1;
-    let _ = ft_request(comm, cfg, master, *seq, FAREWELL, FLAG_NONE, &[], mirror);
-    outcome
+    }
 }
 
 #[cfg(test)]
@@ -1698,8 +1754,10 @@ mod tests {
 
     #[test]
     fn affinity_scheduler_single_rank_and_zero_tasks() {
+        // One rank follows the same pick as a worker of many: it stays on
+        // resource 0 while units of it remain.
         let got = master_worker(1, 4, Some(vec![0, 1, 0, 1]));
-        assert_eq!(got[0], vec![0, 1, 2, 3]);
+        assert_eq!(got[0], vec![0, 2, 1, 3]);
         let got = master_worker(3, 0, Some(vec![]));
         assert!(got.iter().all(Vec::is_empty));
     }
@@ -1898,6 +1956,73 @@ mod tests {
             assert!(matches!(o, RankOutcome::Done(Ok(_))), "outcome: {o:?}");
         }
         assert_exact_partition(&outcomes, 12);
+    }
+
+    /// Block each worker's first execution until `n` units have started,
+    /// so every worker of an `n`-worker world holds exactly one unit.
+    fn hold_until_started(started: &std::sync::atomic::AtomicUsize, n: usize) {
+        use std::sync::atomic::Ordering::SeqCst;
+        started.fetch_add(1, SeqCst);
+        let t0 = std::time::Instant::now();
+        while started.load(SeqCst) < n && t0.elapsed() < Duration::from_secs(10) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn ft_worker_dying_on_its_done_reopens_the_run() {
+        // Rank 1 commits its unit at t = 1 and parks; rank 2's unit ends at
+        // t = 3, so the DONE that settles the run reaches rank 1 at t >= 3
+        // and kills it (death at 2) with a committed unit on board. Rank 2
+        // must not be released before the master has seen that death: it
+        // gets the lost unit back instead.
+        let started = StdArc::new(std::sync::atomic::AtomicUsize::new(0));
+        let plan = FaultPlan::new(3).kill(1, 2.0);
+        let outcomes = World::new(3).with_faults(plan).run_faulty(move |comm| {
+            let started = started.clone();
+            ft_units(comm, 2, &FtConfig::default(), DispatchPolicy::Fifo, |_| {
+                hold_until_started(&started, 2);
+                comm.charge(if comm.rank() == 1 { 1.0 } else { 3.0 });
+            })
+        });
+        assert!(outcomes[1].is_died(), "rank 1 dies on receiving DONE");
+        assert!(matches!(&outcomes[0], RankOutcome::Done(Ok(_))), "{outcomes:?}");
+        assert_exact_partition(&outcomes, 2);
+    }
+
+    #[test]
+    fn ft_successor_arbitrates_the_last_gathered_completion_before_dispatch() {
+        // Each worker holds one unit. Rank 1's is short: it completes at
+        // t = 0.1 and parks. Ranks 2 and 3 finish at t = 1; the first of
+        // their completions kills rank 0 (death at 0.5), so both carry an
+        // unarbitrated completion to the successor, rank 1. Rank 3 arrives
+        // last. Its completion must be committed before the gather reopens
+        // dispatch, or its unit is requeued and handed to parked rank 2 too.
+        // The successor drops its own unarbitrated completion, so only that
+        // unit may run twice.
+        let started = StdArc::new(std::sync::atomic::AtomicUsize::new(0));
+        let runs = StdArc::new(std::sync::Mutex::new(Vec::new()));
+        let plan = FaultPlan::new(5).kill(0, 0.5);
+        let log = runs.clone();
+        let outcomes = World::new(4).with_faults(plan).run_faulty(move |comm| {
+            let (started, log) = (started.clone(), log.clone());
+            ft_units(comm, 3, &FtConfig::default(), DispatchPolicy::Fifo, |unit| {
+                log.lock().unwrap().push((comm.rank(), unit));
+                hold_until_started(&started, 3);
+                if comm.rank() == 3 {
+                    std::thread::sleep(Duration::from_millis(300));
+                }
+                comm.charge(if comm.rank() == 1 { 0.1 } else { 1.0 });
+            })
+        });
+        assert!(outcomes[0].is_died());
+        assert_exact_partition(&outcomes, 3);
+        let runs = runs.lock().unwrap();
+        let successor_unit = runs.iter().find(|&&(r, _)| r == 1).expect("rank 1 ran a unit").1;
+        for unit in (0..3).filter(|&u| u != successor_unit) {
+            let n = runs.iter().filter(|&&(_, u)| u == unit).count();
+            assert_eq!(n, 1, "unit {unit} ran {n} times: {runs:?}");
+        }
     }
 
     #[test]

@@ -20,6 +20,12 @@ cargo test -q -p blast
 echo "== cargo test -q -p som (SOM unit tests, blocked-kernel references) =="
 cargo test -q -p som
 
+echo "== cargo test -q -p mrbio --lib (BLAST/SOM driver unit tests: cache counters, locality, restart) =="
+cargo test -q -p mrbio --lib
+
+echo "== cargo test -q -p mrmpi (MapReduce engine and the fault-tolerant scheduler) =="
+cargo test -q -p mrmpi
+
 echo "== cargo test -q -p mrbio --test cli (the shipped CLIs as subprocesses) =="
 cargo test -q -p mrbio --test cli
 

@@ -121,8 +121,8 @@ fn expected_minus_poisoned(fx: &BlastFixture, poisoned: &[u64]) -> Vec<Hit> {
         if poisoned.contains(&unit) {
             continue;
         }
-        let part = fx.db.load_partition(unit as usize / nblocks).expect("load partition");
-        let prepared = searcher.prepare_queries(&fx.blocks[unit as usize % nblocks]);
+        let part = fx.db.load_partition(unit as usize % nparts).expect("load partition");
+        let prepared = searcher.prepare_queries(&fx.blocks[unit as usize / nparts]);
         hits.extend(searcher.search_partition(
             &prepared,
             &part,
@@ -134,12 +134,11 @@ fn expected_minus_poisoned(fx: &BlastFixture, poisoned: &[u64]) -> Vec<Hit> {
 }
 
 /// Scheduler-unit indices re-encoded the way the run report lists them:
-/// stable global `(query block, DB partition)` ids.
-fn global_quarantine_ids(fx: &BlastFixture, poisoned: &[u64]) -> Vec<u64> {
-    let nblocks = fx.blocks.len() as u64;
-    let nparts = fx.db.num_partitions() as u64;
-    let mut v: Vec<u64> =
-        poisoned.iter().map(|&u| (u % nblocks) * nparts + u / nblocks).collect();
+/// stable global `(query block, DB partition)` ids. Units are block-major,
+/// so in a one-iteration run the id `block * nparts + partition` is the
+/// scheduler index itself.
+fn global_quarantine_ids(poisoned: &[u64]) -> Vec<u64> {
+    let mut v = poisoned.to_vec();
     v.sort_unstable();
     v
 }
@@ -214,7 +213,7 @@ fn chaos_campaign_composes_every_injection_in_one_run() {
     // the reconciled quarantine names exactly the poisoned unit (the
     // divergence check across survivors ran inside run_blast_chaos).
     assert_eq!(died, 2, "exactly the master and worker 4 die");
-    assert_eq!(quarantined, global_quarantine_ids(&fx, &poisoned));
+    assert_eq!(quarantined, global_quarantine_ids(&poisoned));
     assert_eq!(
         read_poison_log(&poison_log).expect("read poison.log"),
         poisoned.to_vec(),
@@ -267,7 +266,7 @@ fn chaos_soak_seeded_campaigns_stay_bit_for_bit() {
         assert_eq!(died, 2, "seed {seed}: both planned deaths must fire");
         assert_eq!(
             quarantined,
-            global_quarantine_ids(&fx, &poisoned),
+            global_quarantine_ids(&poisoned),
             "seed {seed}: quarantine accounting"
         );
         assert_eq!(

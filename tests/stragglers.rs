@@ -210,15 +210,10 @@ fn poison_units_are_quarantined_durably_and_the_run_reports_them() {
 
     // The report names exactly the poisoned (query block, DB partition)
     // pairs, in the stable global encoding block * nparts + partition.
+    // Units are block-major, so in this one-iteration run that id is the
+    // scheduler index itself.
     let expect_quar: Vec<u64> = {
-        let mut v: Vec<u64> = poisoned
-            .iter()
-            .map(|&u| {
-                let part = u / nblocks as u64;
-                let block = u % nblocks as u64;
-                block * nparts as u64 + part
-            })
-            .collect();
+        let mut v = poisoned.to_vec();
         v.sort_unstable();
         v
     };
@@ -236,8 +231,8 @@ fn poison_units_are_quarantined_durably_and_the_run_reports_them() {
         if poisoned.contains(&(unit as u64)) {
             continue;
         }
-        let part = fx.db.load_partition(unit / nblocks).expect("load partition");
-        let prepared = searcher.prepare_queries(&fx.blocks[unit % nblocks]);
+        let part = fx.db.load_partition(unit % nparts).expect("load partition");
+        let prepared = searcher.prepare_queries(&fx.blocks[unit / nparts]);
         expect_hits.extend(searcher.search_partition(
             &prepared,
             &part,
