@@ -8,7 +8,7 @@
 //! the `mrbio` crate sums per-rank accumulators with `MPI_Reduce`, exactly
 //! as Fig. 2 of the paper shows.
 
-use crate::codebook::{chunk_len, Codebook};
+use crate::codebook::{chunk_len, Codebook, Isa};
 use crate::neighborhood::{sigma_schedule, InitMethod, Kernel, SomConfig};
 
 /// Per-epoch accumulator: the numerator matrix (same shape as the codebook)
@@ -71,7 +71,12 @@ impl BatchAccumulator {
     /// same terms in the same order as a per-input loop would give it. `h`
     /// depends only on the grid offset between BMU and neuron, so it is
     /// evaluated once per offset, through the same `grid_dist_sq` and
-    /// `Kernel::eval`, instead of once per input and neuron.
+    /// `Kernel::eval`, instead of once per input and neuron. Both loops run
+    /// as AVX2 code when the CPU has it, with the same bits.
+    ///
+    /// # Panics
+    /// Panics if the accumulator's shape is not the codebook's, or if an
+    /// input's length is not `dims`.
     pub fn accumulate_block_with<V: AsRef<[f64]>>(
         &mut self,
         cb: &Codebook,
@@ -79,31 +84,87 @@ impl BatchAccumulator {
         sigma: f64,
         kernel: Kernel,
     ) {
+        self.accumulate_block_on(Isa::detect(), cb, inputs, sigma, kernel);
+    }
+
+    /// [`BatchAccumulator::accumulate_block_with`] with its BMU search and
+    /// numerator/denominator loop compiled for `isa`.
+    ///
+    /// # Panics
+    /// Panics if the accumulator's shape is not the codebook's, if an
+    /// input's length is not `dims`, or if `isa` is AVX2 and the CPU lacks
+    /// it.
+    pub(crate) fn accumulate_block_on<V: AsRef<[f64]>>(
+        &mut self,
+        isa: Isa,
+        cb: &Codebook,
+        inputs: &[V],
+        sigma: f64,
+        kernel: Kernel,
+    ) {
+        assert_eq!(
+            (self.dims, self.denominator.len(), self.numerator.len()),
+            (cb.dims, cb.num_neurons(), cb.weights.len()),
+            "accumulator shape (dims, neurons, numerator length) differs from the codebook's"
+        );
         // h_by_offset[|dy| * cols + |dx|]: neuron `|dy| * cols + |dx|` sits
         // at grid offset (|dx|, |dy|) from neuron 0, and `grid_dist_sq`
         // depends on nothing but that offset (and folds it on a torus).
         let h_by_offset: Vec<f64> =
             (0..cb.num_neurons()).map(|off| kernel.eval(cb.grid_dist_sq(0, off), sigma)).collect();
-        let dims = self.dims;
-        for chunk in inputs.chunks(chunk_len(dims)) {
+        for chunk in inputs.chunks(chunk_len(self.dims)) {
             let bmus: Vec<(usize, usize)> =
-                cb.bmus(chunk).into_iter().map(|(bmu, _)| cb.coords(bmu)).collect();
-            for n in 0..cb.num_neurons() {
-                let (nx, ny) = cb.coords(n);
-                let row = &mut self.numerator[n * dims..(n + 1) * dims];
-                let den = &mut self.denominator[n];
-                for (x, &(bx, by)) in chunk.iter().zip(&bmus) {
-                    let h = h_by_offset[by.abs_diff(ny) * cb.cols + bx.abs_diff(nx)];
-                    if h < 1e-12 {
-                        continue; // negligible neighborhood weight
-                    }
-                    *den += h;
-                    for (acc, &x) in row.iter_mut().zip(x.as_ref()) {
-                        *acc += h * x;
-                    }
+                cb.bmus_on(isa, chunk).into_iter().map(|(bmu, _)| cb.coords(bmu)).collect();
+            match isa {
+                Isa::Baseline => self.accumulate_pass(cb, &h_by_offset, chunk, &bmus),
+                #[cfg(target_arch = "x86_64")]
+                Isa::Avx2 => {
+                    assert!(std::is_x86_feature_detected!("avx2"), "AVX2 kernel on a CPU without AVX2");
+                    // SAFETY: the CPU has AVX2, asserted just above.
+                    unsafe { self.accumulate_pass_avx2(cb, &h_by_offset, chunk, &bmus) }
                 }
             }
         }
+    }
+
+    /// Add every input of `chunk` into every neuron's numerator row and
+    /// denominator, neuron-major, inputs in order; `bmus[i]` is the grid
+    /// position of input `i`'s BMU on `cb`.
+    #[inline(always)]
+    fn accumulate_pass<V: AsRef<[f64]>>(
+        &mut self,
+        cb: &Codebook,
+        h_by_offset: &[f64],
+        chunk: &[V],
+        bmus: &[(usize, usize)],
+    ) {
+        let rows = self.numerator.chunks_exact_mut(self.dims);
+        for (n, (row, den)) in rows.zip(self.denominator.iter_mut()).enumerate() {
+            let (nx, ny) = cb.coords(n);
+            for (x, &(bx, by)) in chunk.iter().zip(bmus) {
+                let h = h_by_offset[by.abs_diff(ny) * cb.cols + bx.abs_diff(nx)];
+                if h < 1e-12 {
+                    continue; // negligible neighborhood weight
+                }
+                *den += h;
+                for (acc, &x) in row.iter_mut().zip(x.as_ref()) {
+                    *acc += h * x;
+                }
+            }
+        }
+    }
+
+    /// [`BatchAccumulator::accumulate_pass`] compiled for AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn accumulate_pass_avx2<V: AsRef<[f64]>>(
+        &mut self,
+        cb: &Codebook,
+        h_by_offset: &[f64],
+        chunk: &[V],
+        bmus: &[(usize, usize)],
+    ) {
+        self.accumulate_pass(cb, h_by_offset, chunk, bmus);
     }
 
     /// Merge another accumulator into this one (the MPI_Reduce sum).
@@ -284,6 +345,20 @@ mod tests {
         let mut cb2 = cb.clone();
         acc.apply(&mut cb2);
         assert_eq!(cb, cb2, "empty accumulator must not move weights");
+    }
+
+    #[test]
+    #[should_panic(expected = "accumulator shape")]
+    fn accumulating_into_an_accumulator_of_other_dims_panics() {
+        let mut acc = BatchAccumulator::zeros(&Codebook::zeros(2, 2, 3));
+        acc.accumulate(&Codebook::zeros(2, 2, 4), &[1.0; 4], 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "accumulator shape")]
+    fn accumulating_into_an_accumulator_of_other_neurons_panics() {
+        let mut acc = BatchAccumulator::zeros(&Codebook::zeros(2, 2, 3));
+        acc.accumulate(&Codebook::zeros(2, 3, 3), &[1.0; 3], 1.0);
     }
 
     #[test]

@@ -21,6 +21,78 @@ pub(crate) fn chunk_len(dims: usize) -> usize {
     LANES * (CHUNK_BYTES / (LANES * dims * 8)).max(1)
 }
 
+/// Instruction set a blocked kernel runs on. Each kernel body is compiled
+/// twice, for the build's baseline target and under
+/// `#[target_feature(enable = "avx2")]`; both compilations do the same
+/// separate multiplies and adds in the same per-lane order (Rust neither
+/// contracts `a * b + c` into a fused multiply-add nor reassociates float
+/// sums), so both give the same bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Isa {
+    /// The build's target features (SSE2 on baseline x86-64).
+    Baseline,
+    /// AVX2: 4 doubles per vector operation.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Isa {
+    /// The widest instruction set this CPU runs.
+    pub(crate) fn detect() -> Isa {
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            return Isa::Avx2;
+        }
+        Isa::Baseline
+    }
+}
+
+/// Distances from every neuron of `weights` (ascending) to every lane of
+/// every group of `lanes`, keeping per lane the first neuron with the
+/// smallest distance. Each lane sums `(w − x)²` over the dimensions in order
+/// from zero.
+#[inline(always)]
+fn bmu_pass(
+    weights: &[f64],
+    dims: usize,
+    lanes: &[[f64; LANES]],
+    best: &mut [[usize; LANES]],
+    best_d: &mut [[f64; LANES]],
+) {
+    for (n, w) in weights.chunks_exact(dims).enumerate() {
+        for ((xt, best), best_d) in lanes.chunks_exact(dims).zip(best.iter_mut()).zip(best_d.iter_mut()) {
+            let mut acc = [0.0f64; LANES];
+            for (&wd, x) in w.iter().zip(xt) {
+                for l in 0..LANES {
+                    let t = wd - x[l];
+                    acc[l] += t * t;
+                }
+            }
+            // Ascending neuron order, strict `<`: the first of equal
+            // distances stays the BMU.
+            for l in 0..LANES {
+                if acc[l] < best_d[l] {
+                    best_d[l] = acc[l];
+                    best[l] = n;
+                }
+            }
+        }
+    }
+}
+
+/// [`bmu_pass`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn bmu_pass_avx2(
+    weights: &[f64],
+    dims: usize,
+    lanes: &[[f64; LANES]],
+    best: &mut [[usize; LANES]],
+    best_d: &mut [[f64; LANES]],
+) {
+    bmu_pass(weights, dims, lanes, best, best_d);
+}
+
 /// A rows × cols grid of `dims`-dimensional weight vectors, stored row-major
 /// in one flat buffer (neuron `(x, y)` at index `y * cols + x`).
 #[derive(Debug, Clone, PartialEq)]
@@ -122,11 +194,21 @@ impl Codebook {
     /// still sums `(w − x)²` over the dimensions in order from zero, and
     /// neurons are still visited in ascending order with a strict `<`, so
     /// each distance, each BMU and the lowest-index tie rule are those of
-    /// the single-vector path.
+    /// the single-vector path. The distance loop runs as AVX2 code when the
+    /// CPU has it, with the same bits.
     ///
     /// # Panics
     /// Panics if an input's length is not `dims`.
     pub fn bmus<V: AsRef<[f64]>>(&self, inputs: &[V]) -> Vec<(usize, f64)> {
+        self.bmus_on(Isa::detect(), inputs)
+    }
+
+    /// [`Codebook::bmus`] with its distance loop compiled for `isa`.
+    ///
+    /// # Panics
+    /// Panics if an input's length is not `dims`, or if `isa` is AVX2 and
+    /// the CPU lacks it.
+    pub(crate) fn bmus_on<V: AsRef<[f64]>>(&self, isa: Isa, inputs: &[V]) -> Vec<(usize, f64)> {
         let dims = self.dims;
         let mut out = Vec::with_capacity(inputs.len());
         let mut lanes: Vec<[f64; LANES]> = Vec::new();
@@ -146,24 +228,13 @@ impl Codebook {
             }
             let mut best = vec![[0usize; LANES]; groups];
             let mut best_d = vec![[f64::INFINITY; LANES]; groups];
-            for n in 0..self.num_neurons() {
-                let w = self.neuron(n);
-                for (g, xt) in lanes.chunks_exact(dims).enumerate() {
-                    let mut acc = [0.0f64; LANES];
-                    for (&wd, x) in w.iter().zip(xt) {
-                        for l in 0..LANES {
-                            let t = wd - x[l];
-                            acc[l] += t * t;
-                        }
-                    }
-                    // Ascending neuron order, strict `<`: the first of equal
-                    // distances stays the BMU.
-                    for l in 0..LANES {
-                        if acc[l] < best_d[g][l] {
-                            best_d[g][l] = acc[l];
-                            best[g][l] = n;
-                        }
-                    }
+            match isa {
+                Isa::Baseline => bmu_pass(&self.weights, dims, &lanes, &mut best, &mut best_d),
+                #[cfg(target_arch = "x86_64")]
+                Isa::Avx2 => {
+                    assert!(std::is_x86_feature_detected!("avx2"), "AVX2 kernel on a CPU without AVX2");
+                    // SAFETY: the CPU has AVX2, asserted just above.
+                    unsafe { bmu_pass_avx2(&self.weights, dims, &lanes, &mut best, &mut best_d) }
                 }
             }
             for (i, x) in chunk.iter().enumerate() {

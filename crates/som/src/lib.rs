@@ -42,6 +42,8 @@ pub mod pca;
 pub mod ppm;
 pub mod quality;
 pub mod umatrix;
+#[cfg(test)]
+mod variant_tests;
 
 pub use batch::{batch_train, init_codebook, BatchAccumulator};
 pub use codebook::Codebook;
