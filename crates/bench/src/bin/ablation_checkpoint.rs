@@ -23,7 +23,7 @@ use bioseq::gen::{self, WorkloadConfig};
 use bioseq::shred::query_blocks;
 use mpisim::World;
 use mrbio::{run_mrblast, MrBlastConfig, Schedule};
-use perfmodel::{simulate_master_worker, BlastScenario, ClusterModel};
+use perfmodel::{BlastScenario, ClusterModel, Sim};
 use std::sync::Arc;
 
 fn main() {
@@ -32,7 +32,7 @@ fn main() {
     let tasks = scenario.tasks();
     let cores = 1024;
 
-    let base = simulate_master_worker(&cluster, cores, &tasks, scenario.partition_gb);
+    let base = Sim::new(&cluster, cores, scenario.partition_gb).run(&tasks);
     println!(
         "Fault-free baseline: {} work units on {} cores -> {} min\n",
         tasks.len(),

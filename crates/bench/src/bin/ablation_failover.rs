@@ -27,10 +27,7 @@ use bioseq::shred::query_blocks;
 use mpisim::{FaultPlan, RankOutcome, World};
 use mrbio::{run_mrblast, FaultConfig, MrBlastConfig, Schedule};
 use mrmpi::FtConfig;
-use perfmodel::{
-    simulate_master_worker, simulate_master_worker_abort_restart,
-    simulate_master_worker_failover, BlastScenario, ClusterModel,
-};
+use perfmodel::{BlastScenario, ClusterModel, MasterLoss, Sim};
 use std::io::Write;
 use std::sync::Arc;
 
@@ -174,7 +171,8 @@ fn main() {
     let tasks = scenario.tasks();
     let cores = 1024;
     let (detect_s, elect_s) = (15.0, 5.0);
-    let base = simulate_master_worker(&cluster, cores, &tasks, scenario.partition_gb);
+    let sim = Sim::new(&cluster, cores, scenario.partition_gb);
+    let base = sim.run(&tasks);
 
     header(
         "Model: master dies mid-run (1024 cores, makespan minutes)",
@@ -183,24 +181,9 @@ fn main() {
     let mut model_json = Vec::new();
     for &frac in &[0.25f64, 0.5, 0.75] {
         let dies_at = base.makespan_s * frac;
-        let fo = simulate_master_worker_failover(
-            &cluster,
-            cores,
-            &tasks,
-            scenario.partition_gb,
-            dies_at,
-            detect_s,
-            elect_s,
-            &[],
-        );
-        let ar = simulate_master_worker_abort_restart(
-            &cluster,
-            cores,
-            &tasks,
-            scenario.partition_gb,
-            dies_at,
-            detect_s,
-        );
+        let failover = MasterLoss::Failover { detect_s, failover_s: elect_s };
+        let fo = sim.master_dies(dies_at, failover).run(&tasks);
+        let ar = sim.master_dies(dies_at, MasterLoss::AbortRestart { detect_s }).run(&tasks);
         let saved = (ar.makespan_s - fo.makespan_s) / ar.makespan_s;
         row(&[
             percent(frac),

@@ -18,9 +18,7 @@ use bioseq::gen::{self, WorkloadConfig};
 use bioseq::shred::query_blocks;
 use mpisim::{FaultPlan, RankOutcome, World};
 use mrbio::{run_mrblast, MrBlastConfig};
-use perfmodel::{
-    simulate_master_worker, simulate_master_worker_faulty, BlastScenario, ClusterModel, Failure,
-};
+use perfmodel::{BlastScenario, ClusterModel, Failure, Sim};
 use std::sync::Arc;
 
 fn main() {
@@ -30,7 +28,8 @@ fn main() {
     let cores = 1024;
     let detect_s = 0.5;
 
-    let base = simulate_master_worker(&cluster, cores, &tasks, scenario.partition_gb);
+    let sim = Sim::new(&cluster, cores, scenario.partition_gb);
+    let base = sim.run(&tasks);
     println!(
         "Fault-free baseline: {} work units on {} cores -> {} min\n",
         tasks.len(),
@@ -55,14 +54,7 @@ fn main() {
                 at_s: base.makespan_s * frac,
             })
             .collect();
-        let r = simulate_master_worker_faulty(
-            &cluster,
-            cores,
-            &tasks,
-            scenario.partition_gb,
-            &failures,
-            detect_s,
-        );
+        let r = sim.failures(&failures, detect_s).run(&tasks);
         row(&[
             nfail.to_string(),
             format!("{:.0}% of run", frac * 100.0),

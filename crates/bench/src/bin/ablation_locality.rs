@@ -17,7 +17,7 @@ use bioseq::gen::{self, WorkloadConfig};
 use bioseq::shred::query_blocks;
 use mpisim::World;
 use mrbio::{run_mrblast, FaultConfig, MrBlastConfig, Schedule};
-use perfmodel::{simulate_master_worker, simulate_master_worker_affinity, BlastScenario, ClusterModel};
+use perfmodel::{BlastScenario, ClusterModel, Sim};
 use std::sync::Arc;
 
 fn main() {
@@ -30,8 +30,8 @@ fn main() {
         &["cores", "plain_min", "locality_min", "plain_loads", "locality_loads", "speedup"],
     );
     for &cores in &PAPER_CORES {
-        let plain = simulate_master_worker(&cluster, cores, &tasks, scenario.partition_gb);
-        let loc = simulate_master_worker_affinity(&cluster, cores, &tasks, scenario.partition_gb);
+        let plain = Sim::new(&cluster, cores, scenario.partition_gb).run(&tasks);
+        let loc = Sim::new(&cluster, cores, scenario.partition_gb).affinity().run(&tasks);
         row(&[
             cores.to_string(),
             minutes(plain.makespan_s),
@@ -48,8 +48,8 @@ fn main() {
     // using smaller query blocks").
     let fine = BlastScenario::paper_nucleotide(80_000, 250); // 320 blocks
     let fine_tasks = fine.tasks();
-    let plain_fine = simulate_master_worker(&cluster, 1024, &fine_tasks, fine.partition_gb);
-    let loc_fine = simulate_master_worker_affinity(&cluster, 1024, &fine_tasks, fine.partition_gb);
+    let plain_fine = Sim::new(&cluster, 1024, fine.partition_gb).run(&fine_tasks);
+    let loc_fine = Sim::new(&cluster, 1024, fine.partition_gb).affinity().run(&fine_tasks);
     println!(
         "250-query blocks at 1024 cores: plain {} min vs locality {} min \
          ({} of the reload penalty removed)",

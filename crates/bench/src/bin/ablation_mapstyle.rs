@@ -8,7 +8,7 @@
 //! scale, on identical task sets.
 
 use bench::{header, minutes, percent, row, PAPER_CORES};
-use perfmodel::des::{simulate_master_worker, simulate_static, Schedule};
+use perfmodel::des::{simulate_static, Schedule, Sim};
 use perfmodel::{BlastScenario, ClusterModel};
 
 fn main() {
@@ -21,7 +21,7 @@ fn main() {
         &["cores", "master_worker_min", "round_robin_min", "chunk_min", "rr_penalty", "chunk_penalty"],
     );
     for &cores in &PAPER_CORES {
-        let mw = simulate_master_worker(&cluster, cores, &tasks, scenario.partition_gb);
+        let mw = Sim::new(&cluster, cores, scenario.partition_gb).run(&tasks);
         let rr =
             simulate_static(&cluster, cores, &tasks, scenario.partition_gb, Schedule::RoundRobin);
         let ch = simulate_static(&cluster, cores, &tasks, scenario.partition_gb, Schedule::Chunk);

@@ -24,10 +24,7 @@ use bioseq::shred::query_blocks;
 use mpisim::{FaultPlan, RankOutcome, World};
 use mrbio::{run_mrblast, FaultConfig, MrBlastConfig, Schedule};
 use mrmpi::FtConfig;
-use perfmodel::{
-    simulate_master_worker, simulate_master_worker_speculative, BlastScenario, ClusterModel,
-    Stall,
-};
+use perfmodel::{BlastScenario, ClusterModel, Sim, Stall};
 use std::io::Write;
 use std::sync::Arc;
 use std::time::Duration;
@@ -38,7 +35,8 @@ fn main() {
     let tasks = scenario.tasks();
     let cores = 1024;
 
-    let base = simulate_master_worker(&cluster, cores, &tasks, scenario.partition_gb);
+    let sim = Sim::new(&cluster, cores, scenario.partition_gb);
+    let base = sim.run(&tasks);
     println!(
         "Fault-free baseline: {} work units on {} cores -> {} min\n",
         tasks.len(),
@@ -55,24 +53,8 @@ fn main() {
     for &stall_min in &[5.0f64, 15.0, 60.0] {
         let stalls =
             [Stall { worker: 17, at_s: base.makespan_s * 0.3, dur_s: stall_min * 60.0 }];
-        let off = simulate_master_worker_speculative(
-            &cluster,
-            cores,
-            &tasks,
-            scenario.partition_gb,
-            &stalls,
-            15.0,
-            false,
-        );
-        let on = simulate_master_worker_speculative(
-            &cluster,
-            cores,
-            &tasks,
-            scenario.partition_gb,
-            &stalls,
-            15.0,
-            true,
-        );
+        let off = sim.stalls(&stalls).run(&tasks);
+        let on = sim.stalls(&stalls).speculate(15.0).run(&tasks);
         let hidden = (off.makespan_s - on.makespan_s) / (off.makespan_s - base.makespan_s);
         row(&[
             format!("{stall_min:.0} min"),

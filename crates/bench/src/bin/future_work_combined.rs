@@ -10,7 +10,7 @@
 use bench::{header, minutes, percent, row, PAPER_CORES};
 use bioseq::faindex::guided_blocks;
 use perfmodel::blastsim::sample_skews;
-use perfmodel::des::{simulate_master_worker, simulate_master_worker_affinity, Task};
+use perfmodel::des::{Sim, Task};
 use perfmodel::{BlastScenario, ClusterModel};
 
 fn tasks_for_schedule(
@@ -42,11 +42,9 @@ fn main() {
     );
     for &cores in &PAPER_CORES {
         let paper = base.simulate(&cluster, cores).makespan_s;
-        let fixed_tasks = base.tasks();
-        let locality =
-            simulate_master_worker_affinity(&cluster, cores, &fixed_tasks, base.partition_gb)
-                .makespan_s
-                + base.collate_cost(&cluster, cores);
+        let sim = Sim::new(&cluster, cores, base.partition_gb);
+        let collate = base.collate_cost(&cluster, cores);
+        let locality = sim.affinity().run(&base.tasks()).makespan_s + collate;
 
         let workers = cores - 1;
         // With locality the fine tail is affordable: 500-query base blocks.
@@ -58,17 +56,8 @@ fn main() {
             costs.sigma_log,
             costs.seed,
         );
-        let guided =
-            simulate_master_worker(&cluster, cores, &guided_tasks, base.partition_gb).makespan_s
-                + base.collate_cost(&cluster, cores);
-        let both = simulate_master_worker_affinity(
-            &cluster,
-            cores,
-            &guided_tasks,
-            base.partition_gb,
-        )
-        .makespan_s
-            + base.collate_cost(&cluster, cores);
+        let guided = sim.run(&guided_tasks).makespan_s + collate;
+        let both = sim.affinity().run(&guided_tasks).makespan_s + collate;
 
         row(&[
             cores.to_string(),

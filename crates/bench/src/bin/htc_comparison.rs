@@ -20,7 +20,7 @@ use blast::SearchParams;
 use mpisim::World;
 use mrbio::htc::{run_htc, HtcAssignment};
 use mrbio::{run_mrblast, MrBlastConfig};
-use perfmodel::des::{simulate_master_worker, simulate_static, Schedule};
+use perfmodel::des::{simulate_static, Schedule, Sim};
 use perfmodel::{BlastScenario, ClusterModel};
 use std::sync::Arc;
 
@@ -34,7 +34,7 @@ fn main() {
         &["cores", "master_worker_min", "static_rr_min", "static_penalty"],
     );
     for cores in [256, 512, 1024] {
-        let dynamic = simulate_master_worker(&cluster, cores, &tasks, scenario.partition_gb);
+        let dynamic = Sim::new(&cluster, cores, scenario.partition_gb).run(&tasks);
         let fixed =
             simulate_static(&cluster, cores, &tasks, scenario.partition_gb, Schedule::RoundRobin);
         row(&[

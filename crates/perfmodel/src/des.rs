@@ -12,8 +12,13 @@
 //! 3. **tail idling** — "the entire MPI program then has to wait for that
 //!    longest unit of work to finish".
 //!
-//! Static schedules (round-robin / chunk) are simulated for the HTC and
-//!    mapstyle-ablation comparisons.
+//! One event loop, [`Sim`], runs the dynamic schedule with any mix of
+//! locality-aware dispatch, worker deaths, stalls, speculative backups and
+//! a master death. Static schedules (round-robin / chunk) are simulated by
+//! [`simulate_static`] for the HTC and mapstyle-ablation comparisons.
+
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
 
 use crate::cluster::ClusterModel;
 
@@ -26,19 +31,17 @@ pub struct Task {
     pub cost_s: f64,
 }
 
-/// Scheduling policy.
+/// Static scheduling policy for [`simulate_static`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Schedule {
-    /// Dynamic: rank 0 dedicated master, `cores − 1` workers pull tasks.
-    MasterWorker,
-    /// Static: task `t` on worker `t % workers`, all cores compute.
+    /// Task `t` on worker `t % workers`, all cores compute.
     RoundRobin,
-    /// Static: contiguous task ranges, all cores compute.
+    /// Contiguous task ranges, all cores compute.
     Chunk,
 }
 
 /// Result of one simulated run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SimResult {
     /// Wall clock of the whole run in seconds.
     pub makespan_s: f64,
@@ -52,11 +55,11 @@ pub struct SimResult {
     pub warm_loads: u64,
     /// Total search seconds across workers (the "useful" work).
     pub total_search_s: f64,
-    /// Work units executed more than once because their worker died — the
-    /// re-dispatch cost of fault recovery (0 for the fault-free simulators).
+    /// Work units executed more than once because their worker or master
+    /// died — the re-dispatch cost of fault recovery (0 without deaths).
     pub redispatched: u64,
     /// Speculative backup copies launched against suspected stragglers
-    /// (0 outside [`simulate_master_worker_speculative`]).
+    /// (0 without [`Sim::speculate`]).
     pub speculated: usize,
     /// Cores the run was charged for (workers + dedicated master if any).
     pub cores: usize,
@@ -102,6 +105,20 @@ impl SimResult {
         }
         out
     }
+
+    /// An idle run of `workers` workers charged for `cores` cores.
+    fn empty(workers: usize, cores: usize) -> Self {
+        let busy_intervals = vec![Vec::new(); workers];
+        SimResult { worker_busy: vec![0.0; workers], busy_intervals, cores, ..Default::default() }
+    }
+
+    /// Close the accounting: load counts and total search time.
+    fn finish(mut self, loads: &LoadModel) -> Self {
+        self.cold_loads = loads.cold;
+        self.warm_loads = loads.warm;
+        self.total_search_s = self.worker_busy.iter().sum();
+        self
+    }
 }
 
 /// LRU cache of partition indices with combined-RAM capacity.
@@ -112,8 +129,7 @@ impl SimResult {
 /// aggregate page cache of the allocation covers the database, re-reads of
 /// a previously loaded partition are warm re-maps; below that capacity the
 /// LRU thrashes and loads come cold from Lustre. (Per-node cache locality
-/// is deliberately not modelled: the paper's scheduler has no partition
-/// affinity either — locality-aware dispatch is its stated future work.)
+/// is not modelled; worker-level reuse is, see [`Sim::affinity`].)
 struct LruCache {
     capacity: usize,
     entries: Vec<usize>, // most recent last
@@ -142,177 +158,35 @@ impl LruCache {
     }
 }
 
+/// Partition load costs over the allocation's combined page cache.
 struct LoadModel<'a> {
     cluster: &'a ClusterModel,
     partition_gb: f64,
     cache: LruCache,
+    cold: u64,
+    warm: u64,
 }
 
 impl<'a> LoadModel<'a> {
     fn new(cluster: &'a ClusterModel, cores: usize, partition_gb: f64) -> Self {
         let nodes = cluster.nodes_for(cores);
         let capacity = cluster.cache_capacity(partition_gb, 4.0).saturating_mul(nodes);
-        LoadModel { cluster, partition_gb, cache: LruCache::new(capacity) }
+        LoadModel { cluster, partition_gb, cache: LruCache::new(capacity), cold: 0, warm: 0 }
     }
 
     /// Load cost of `part`; updates the combined cache and counters.
-    fn load(&mut self, _core: usize, part: usize, cold: &mut u64, warm: &mut u64) -> f64 {
+    fn load(&mut self, part: usize) -> f64 {
         if self.cache.touch(part) {
-            *warm += 1;
+            self.warm += 1;
             self.cluster.warm_load_s_per_gb * self.partition_gb
         } else {
-            *cold += 1;
+            self.cold += 1;
             self.cluster.cold_load_s_per_gb * self.partition_gb
         }
     }
 }
 
-/// Simulate the dynamic master-worker schedule over `tasks` (in dispatch
-/// order) on `cores` cores of `cluster`, with DB partitions of
-/// `partition_gb` GB.
-///
-/// # Panics
-/// Panics if fewer than 2 cores are requested (a dedicated master needs at
-/// least one worker).
-pub fn simulate_master_worker(
-    cluster: &ClusterModel,
-    cores: usize,
-    tasks: &[Task],
-    partition_gb: f64,
-) -> SimResult {
-    assert!(cores >= 2, "master-worker needs >= 2 cores");
-    let workers = cores - 1;
-    let mut loads = LoadModel::new(cluster, cores, partition_gb);
-    let (mut cold, mut warm) = (0u64, 0u64);
-
-    // Min-heap of (free_time, worker). Workers are cores 1..cores (core 0 is
-    // the master).
-    let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(OrdF64, usize)>> =
-        (0..workers).map(|w| std::cmp::Reverse((OrdF64(0.0), w))).collect();
-
-    let mut busy_intervals = vec![Vec::new(); workers];
-    let mut worker_busy = vec![0.0f64; workers];
-    let mut last_worker_cache: Vec<Option<usize>> = vec![None; workers];
-
-    for task in tasks {
-        let std::cmp::Reverse((OrdF64(free), w)) = heap.pop().expect("worker heap never empty");
-        let t = free + cluster.dispatch_latency_s;
-        // Worker-level cache: a worker that just used this partition keeps
-        // its DB object ("cached between map() invocations on a given
-        // rank"); otherwise it (re-)maps, warm or cold per the node cache.
-        let load = if last_worker_cache[w] == Some(task.part) {
-            0.0
-        } else {
-            last_worker_cache[w] = Some(task.part);
-            // Worker core id: skip the master core (core 0).
-            loads.load(w + 1, task.part, &mut cold, &mut warm)
-        };
-        let start = t + load;
-        let end = start + task.cost_s;
-        busy_intervals[w].push((start, end));
-        worker_busy[w] += task.cost_s;
-        heap.push(std::cmp::Reverse((OrdF64(end), w)));
-    }
-
-    let makespan = heap.into_iter().map(|std::cmp::Reverse((OrdF64(t), _))| t).fold(0.0, f64::max);
-    let total_search: f64 = worker_busy.iter().sum();
-    SimResult {
-        makespan_s: makespan,
-        worker_busy,
-        busy_intervals,
-        cold_loads: cold,
-        warm_loads: warm,
-        total_search_s: total_search,
-        redispatched: 0,
-        speculated: 0,
-        cores,
-    }
-}
-
-/// Simulate the **locality-aware** master-worker schedule: the master keeps
-/// per-partition task queues and serves a freed worker a task for the
-/// partition it already holds when one remains, falling back to the
-/// partition with the most remaining work. This is the paper's future-work
-/// scheduler ("distribute the work unit tuples to those ranks that have
-/// already been processing the same DB partitions"), quantified by the
-/// `ablation_locality` bench.
-///
-/// # Panics
-/// Panics if fewer than 2 cores are requested.
-pub fn simulate_master_worker_affinity(
-    cluster: &ClusterModel,
-    cores: usize,
-    tasks: &[Task],
-    partition_gb: f64,
-) -> SimResult {
-    assert!(cores >= 2, "master-worker needs >= 2 cores");
-    let workers = cores - 1;
-    let mut loads = LoadModel::new(cluster, cores, partition_gb);
-    let (mut cold, mut warm) = (0u64, 0u64);
-
-    // Per-partition FIFO queues of task indices, dispatch preferring the
-    // worker's held partition.
-    let mut queues: std::collections::HashMap<usize, std::collections::VecDeque<usize>> =
-        std::collections::HashMap::new();
-    for (i, t) in tasks.iter().enumerate() {
-        queues.entry(t.part).or_default().push_back(i);
-    }
-    let mut remaining = tasks.len();
-
-    let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(OrdF64, usize)>> =
-        (0..workers).map(|w| std::cmp::Reverse((OrdF64(0.0), w))).collect();
-    let mut busy_intervals = vec![Vec::new(); workers];
-    let mut worker_busy = vec![0.0f64; workers];
-    let mut last_worker_cache: Vec<Option<usize>> = vec![None; workers];
-    let mut finish = vec![0.0f64; workers];
-
-    while remaining > 0 {
-        let std::cmp::Reverse((OrdF64(free), w)) = heap.pop().expect("worker heap never empty");
-        let t = free + cluster.dispatch_latency_s;
-        let part = match last_worker_cache[w] {
-            Some(p) if queues.get(&p).is_some_and(|q| !q.is_empty()) => p,
-            _ => *queues
-                .iter()
-                .filter(|(_, q)| !q.is_empty())
-                .max_by_key(|(_, q)| q.len())
-                .expect("remaining > 0")
-                .0,
-        };
-        let task_idx =
-            queues.get_mut(&part).expect("chosen queue").pop_front().expect("non-empty");
-        remaining -= 1;
-        let task = tasks[task_idx];
-        let load = if last_worker_cache[w] == Some(task.part) {
-            0.0
-        } else {
-            last_worker_cache[w] = Some(task.part);
-            loads.load(w + 1, task.part, &mut cold, &mut warm)
-        };
-        let start = t + load;
-        let end = start + task.cost_s;
-        busy_intervals[w].push((start, end));
-        worker_busy[w] += task.cost_s;
-        finish[w] = end;
-        heap.push(std::cmp::Reverse((OrdF64(end), w)));
-    }
-
-    let makespan = finish.iter().copied().fold(0.0, f64::max);
-    let total_search: f64 = worker_busy.iter().sum();
-    SimResult {
-        makespan_s: makespan,
-        worker_busy,
-        busy_intervals,
-        cold_loads: cold,
-        warm_loads: warm,
-        total_search_s: total_search,
-        redispatched: 0,
-        speculated: 0,
-        cores,
-    }
-}
-
-/// A scheduled fail-stop worker failure for
-/// [`simulate_master_worker_faulty`].
+/// A scheduled fail-stop worker death for [`Sim::failures`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Failure {
     /// Worker index (0-based over the `cores − 1` workers).
@@ -321,423 +195,8 @@ pub struct Failure {
     pub at_s: f64,
 }
 
-/// Simulate the master-worker schedule under fail-stop worker deaths with
-/// re-dispatch, mirroring the recovery protocol in `mrmpi::sched`:
-///
-/// * a worker that dies loses its in-flight unit **and every unit it had
-///   already completed** (the emitted key-values die with the rank), all of
-///   which the master re-dispatches to survivors once the death is detected
-///   `detect_s` seconds later;
-/// * deaths after the last unit completes change nothing (the run's output
-///   has already been reconciled);
-/// * `SimResult::redispatched` counts the units that had to be redone —
-///   the recovery cost on top of the fault-free makespan.
-///
-/// `total_search_s` and the busy intervals count *completed* executions
-/// only (re-runs included); compute cut short by a death is not charged.
-///
-/// # Panics
-/// Panics if fewer than 2 cores are requested, if a failure names a
-/// nonexistent worker, or if every worker dies with units unfinished (the
-/// protocol's `AllWorkersDead` outcome — the model has no makespan then).
-pub fn simulate_master_worker_faulty(
-    cluster: &ClusterModel,
-    cores: usize,
-    tasks: &[Task],
-    partition_gb: f64,
-    failures: &[Failure],
-    detect_s: f64,
-) -> SimResult {
-    assert!(cores >= 2, "master-worker needs >= 2 cores");
-    let workers = cores - 1;
-    let mut loads = LoadModel::new(cluster, cores, partition_gb);
-    let (mut cold, mut warm) = (0u64, 0u64);
-
-    // Event queue: (time, kind, worker). At equal times deaths precede
-    // completions; since a dead worker's completed units are re-dispatched
-    // anyway, the tie-break cannot change which work is redone — it only
-    // keeps the trace deterministic.
-    const EV_DEATH: u8 = 0;
-    const EV_FREE: u8 = 1;
-    const EV_WAKE: u8 = 2;
-    let mut events: std::collections::BinaryHeap<std::cmp::Reverse<(OrdF64, u8, usize)>> =
-        std::collections::BinaryHeap::new();
-    for f in failures {
-        assert!(f.worker < workers, "failure names worker {} of {workers}", f.worker);
-        events.push(std::cmp::Reverse((OrdF64(f.at_s), EV_DEATH, f.worker)));
-    }
-    events.push(std::cmp::Reverse((OrdF64(0.0), EV_WAKE, 0)));
-
-    // Unit pool ordered by (available-from, index): re-dispatched units
-    // only become available once the master has detected the death.
-    let mut pool: std::collections::BinaryHeap<std::cmp::Reverse<(OrdF64, usize)>> =
-        (0..tasks.len()).map(|i| std::cmp::Reverse((OrdF64(0.0), i))).collect();
-
-    let mut alive = vec![true; workers];
-    let mut idle: std::collections::BTreeSet<usize> = (0..workers).collect();
-    let mut inflight: Vec<Option<(usize, f64, f64)>> = vec![None; workers];
-    let mut completed: Vec<Vec<usize>> = vec![Vec::new(); workers];
-    let mut busy_intervals = vec![Vec::new(); workers];
-    let mut worker_busy = vec![0.0f64; workers];
-    let mut last_worker_cache: Vec<Option<usize>> = vec![None; workers];
-    let mut ndone = 0usize;
-    let mut redispatched = 0u64;
-    let mut makespan = 0.0f64;
-
-    while ndone < tasks.len() {
-        let Some(std::cmp::Reverse((OrdF64(now), kind, w))) = events.pop() else {
-            break; // every worker dead with units remaining
-        };
-        match kind {
-            EV_DEATH => {
-                if !alive[w] {
-                    continue;
-                }
-                alive[w] = false;
-                idle.remove(&w);
-                last_worker_cache[w] = None;
-                let mut lost = 0u64;
-                if let Some((task, _, _)) = inflight[w].take() {
-                    pool.push(std::cmp::Reverse((OrdF64(now + detect_s), task)));
-                    lost += 1;
-                }
-                for task in completed[w].drain(..) {
-                    pool.push(std::cmp::Reverse((OrdF64(now + detect_s), task)));
-                    ndone -= 1;
-                    lost += 1;
-                }
-                redispatched += lost;
-                if lost > 0 {
-                    events.push(std::cmp::Reverse((OrdF64(now + detect_s), EV_WAKE, 0)));
-                }
-            }
-            EV_FREE => {
-                if !alive[w] {
-                    continue; // this completion was preempted by the death
-                }
-                let (task, start, end) = inflight[w].take().expect("free without inflight");
-                completed[w].push(task);
-                ndone += 1;
-                busy_intervals[w].push((start, end));
-                worker_busy[w] += tasks[task].cost_s;
-                makespan = makespan.max(end);
-                idle.insert(w);
-            }
-            _ => {} // EV_WAKE: fall through to the dispatch sweep below
-        }
-        // Dispatch sweep: hand every currently available unit to an idle
-        // worker (idle set iterates in worker order — deterministic).
-        while let Some(&std::cmp::Reverse((OrdF64(avail), task))) = pool.peek() {
-            if avail > now {
-                break;
-            }
-            let Some(&w) = idle.iter().next() else { break };
-            pool.pop();
-            idle.remove(&w);
-            let t = now + cluster.dispatch_latency_s;
-            let load = if last_worker_cache[w] == Some(tasks[task].part) {
-                0.0
-            } else {
-                last_worker_cache[w] = Some(tasks[task].part);
-                loads.load(w + 1, tasks[task].part, &mut cold, &mut warm)
-            };
-            let start = t + load;
-            let end = start + tasks[task].cost_s;
-            inflight[w] = Some((task, start, end));
-            events.push(std::cmp::Reverse((OrdF64(end), EV_FREE, w)));
-        }
-    }
-    assert!(
-        ndone == tasks.len(),
-        "all {workers} workers dead with {} of {} units unfinished",
-        tasks.len() - ndone,
-        tasks.len()
-    );
-
-    let total_search: f64 = worker_busy.iter().sum();
-    SimResult {
-        makespan_s: makespan,
-        worker_busy,
-        busy_intervals,
-        cold_loads: cold,
-        warm_loads: warm,
-        total_search_s: total_search,
-        redispatched,
-        speculated: 0,
-        cores,
-    }
-}
-
-/// Simulate the master-worker schedule through a **master death and
-/// failover**, mirroring the election protocol in `mrmpi::sched`:
-///
-/// * the dedicated master dies at `master_dies_at_s`; from that instant no
-///   new units are dispatched. Workers already computing run their unit to
-///   completion, then sit idle retrying the dead master;
-/// * `detect_s` later the workers' failure detector gives up on the old
-///   master, and after a further `failover_s` (election + scheduler-log
-///   replay + committed-claim gather) the **lowest-indexed live worker is
-///   promoted** to acting master and dispatch resumes;
-/// * completions that landed during the dead-master window were never
-///   arbitrated: survivors carry them to the new master, which commits them
-///   at first contact — except the promoted worker's own carried unit,
-///   which the role transition discards and re-queues (counted in
-///   [`SimResult::redispatched`]), exactly as the scheduler does;
-/// * the promotion permanently converts one compute core into the master
-///   role, so the tail of the run proceeds with one fewer worker on the
-///   same `cores`-core allocation;
-/// * worker `failures` compose as in [`simulate_master_worker_faulty`]
-///   (dead workers lose in-flight *and* committed units). A failure that
-///   hits the already-promoted master is treated as a plain worker death;
-///   the cost of a second election is not modelled here — the scheduler
-///   tests cover cascaded master deaths;
-/// * a `master_dies_at_s` past the fault-free makespan changes nothing.
-///
-/// # Panics
-/// Panics if fewer than 3 cores are requested (a failover needs a worker
-/// left over after the promotion), if a failure names a nonexistent worker,
-/// or if every worker dies with units unfinished.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_master_worker_failover(
-    cluster: &ClusterModel,
-    cores: usize,
-    tasks: &[Task],
-    partition_gb: f64,
-    master_dies_at_s: f64,
-    detect_s: f64,
-    failover_s: f64,
-    failures: &[Failure],
-) -> SimResult {
-    assert!(cores >= 3, "failover needs >= 3 cores: master, successor, one worker");
-    let workers = cores - 1;
-    let mut loads = LoadModel::new(cluster, cores, partition_gb);
-    let (mut cold, mut warm) = (0u64, 0u64);
-
-    // Event queue: (time, kind, worker). The master death sorts before
-    // completions at the same instant, so a unit finishing exactly then
-    // counts as unarbitrated — the conservative reading.
-    const EV_MDEATH: u8 = 0;
-    const EV_DEATH: u8 = 1;
-    const EV_FREE: u8 = 2;
-    const EV_PROMOTE: u8 = 3;
-    const EV_WAKE: u8 = 4;
-    let mut events: std::collections::BinaryHeap<std::cmp::Reverse<(OrdF64, u8, usize)>> =
-        std::collections::BinaryHeap::new();
-    events.push(std::cmp::Reverse((OrdF64(master_dies_at_s), EV_MDEATH, 0)));
-    for f in failures {
-        assert!(f.worker < workers, "failure names worker {} of {workers}", f.worker);
-        events.push(std::cmp::Reverse((OrdF64(f.at_s), EV_DEATH, f.worker)));
-    }
-    events.push(std::cmp::Reverse((OrdF64(0.0), EV_WAKE, 0)));
-
-    let mut pool: std::collections::BinaryHeap<std::cmp::Reverse<(OrdF64, usize)>> =
-        (0..tasks.len()).map(|i| std::cmp::Reverse((OrdF64(0.0), i))).collect();
-
-    let mut alive = vec![true; workers];
-    let mut idle: std::collections::BTreeSet<usize> = (0..workers).collect();
-    let mut inflight: Vec<Option<(usize, f64, f64)>> = vec![None; workers];
-    let mut completed: Vec<Vec<usize>> = vec![Vec::new(); workers];
-    // A worker's single unarbitrated completion while the master is down
-    // (it cannot receive another unit until arbitration resumes).
-    let mut carried: Vec<Option<usize>> = vec![None; workers];
-    let mut busy_intervals = vec![Vec::new(); workers];
-    let mut worker_busy = vec![0.0f64; workers];
-    let mut last_worker_cache: Vec<Option<usize>> = vec![None; workers];
-    let mut frozen = false;
-    let mut promoted: Option<usize> = None;
-    let mut ndone = 0usize;
-    let mut redispatched = 0u64;
-    let mut makespan = 0.0f64;
-
-    while ndone < tasks.len() {
-        let Some(std::cmp::Reverse((OrdF64(now), kind, w))) = events.pop() else {
-            break; // every worker dead with units remaining
-        };
-        match kind {
-            EV_MDEATH => {
-                frozen = true;
-                events.push(std::cmp::Reverse((
-                    OrdF64(now + detect_s + failover_s),
-                    EV_PROMOTE,
-                    0,
-                )));
-            }
-            EV_PROMOTE => {
-                // Elect the lowest live worker; its carried or in-flight
-                // unit is discarded by the role transition and re-queued.
-                let Some(p) = (0..workers).find(|&w| alive[w]) else {
-                    continue; // all dead; the assert below reports it
-                };
-                if let Some((task, _, _)) = inflight[p].take() {
-                    pool.push(std::cmp::Reverse((OrdF64(now), task)));
-                    redispatched += 1;
-                }
-                if let Some(task) = carried[p].take() {
-                    pool.push(std::cmp::Reverse((OrdF64(now), task)));
-                    redispatched += 1;
-                }
-                // Survivors' carried completions commit at first contact.
-                for w in 0..workers {
-                    if let Some(task) = carried[w].take() {
-                        completed[w].push(task);
-                        ndone += 1;
-                        makespan = makespan.max(now);
-                    }
-                }
-                idle.remove(&p);
-                promoted = Some(p);
-                frozen = false;
-            }
-            EV_DEATH => {
-                if !alive[w] {
-                    continue;
-                }
-                alive[w] = false;
-                idle.remove(&w);
-                last_worker_cache[w] = None;
-                let mut lost = 0u64;
-                if let Some((task, _, _)) = inflight[w].take() {
-                    pool.push(std::cmp::Reverse((OrdF64(now + detect_s), task)));
-                    lost += 1;
-                }
-                if let Some(task) = carried[w].take() {
-                    pool.push(std::cmp::Reverse((OrdF64(now + detect_s), task)));
-                    lost += 1;
-                }
-                for task in completed[w].drain(..) {
-                    pool.push(std::cmp::Reverse((OrdF64(now + detect_s), task)));
-                    ndone -= 1;
-                    lost += 1;
-                }
-                redispatched += lost;
-                if lost > 0 {
-                    events.push(std::cmp::Reverse((OrdF64(now + detect_s), EV_WAKE, 0)));
-                }
-            }
-            EV_FREE => {
-                if !alive[w] || promoted == Some(w) {
-                    continue; // preempted by a death or by the promotion
-                }
-                let Some((task, start, end)) = inflight[w].take() else { continue };
-                busy_intervals[w].push((start, end));
-                worker_busy[w] += tasks[task].cost_s;
-                idle.insert(w);
-                if frozen {
-                    carried[w] = Some(task); // unarbitrated until failover
-                } else {
-                    completed[w].push(task);
-                    ndone += 1;
-                    makespan = makespan.max(end);
-                }
-            }
-            _ => {} // EV_WAKE: fall through to the dispatch sweep
-        }
-        if frozen {
-            continue; // nobody arbitrates; no dispatch until the promotion
-        }
-        while let Some(&std::cmp::Reverse((OrdF64(avail), task))) = pool.peek() {
-            if avail > now {
-                break;
-            }
-            let Some(&w) = idle.iter().next() else { break };
-            pool.pop();
-            idle.remove(&w);
-            let t = now + cluster.dispatch_latency_s;
-            let load = if last_worker_cache[w] == Some(tasks[task].part) {
-                0.0
-            } else {
-                last_worker_cache[w] = Some(tasks[task].part);
-                loads.load(w + 1, tasks[task].part, &mut cold, &mut warm)
-            };
-            let start = t + load;
-            let end = start + tasks[task].cost_s;
-            inflight[w] = Some((task, start, end));
-            events.push(std::cmp::Reverse((OrdF64(end), EV_FREE, w)));
-        }
-    }
-    assert!(
-        ndone == tasks.len(),
-        "all {workers} workers dead with {} of {} units unfinished",
-        tasks.len() - ndone,
-        tasks.len()
-    );
-
-    let total_search: f64 = worker_busy.iter().sum();
-    SimResult {
-        makespan_s: makespan,
-        worker_busy,
-        busy_intervals,
-        cold_loads: cold,
-        warm_loads: warm,
-        total_search_s: total_search,
-        redispatched,
-        speculated: 0,
-        cores,
-    }
-}
-
-/// Simulate the legacy **abort-and-restart** answer to a master death (the
-/// `abort_on_master_loss` ablation baseline): the run aborts `detect_s`
-/// after the master dies at `master_dies_at_s` — every completed unit is
-/// thrown away — and the whole job re-runs from scratch on a fresh
-/// allocation of the same size (page caches cold again).
-///
-/// Completions before the abort are reported as [`SimResult::redispatched`]
-/// and appear in the busy intervals (the compute really happened, then was
-/// discarded); `cold_loads`/`warm_loads` count the restarted run only. A
-/// `master_dies_at_s` past the fault-free makespan changes nothing.
-pub fn simulate_master_worker_abort_restart(
-    cluster: &ClusterModel,
-    cores: usize,
-    tasks: &[Task],
-    partition_gb: f64,
-    master_dies_at_s: f64,
-    detect_s: f64,
-) -> SimResult {
-    let clean = simulate_master_worker(cluster, cores, tasks, partition_gb);
-    if master_dies_at_s >= clean.makespan_s {
-        return clean;
-    }
-    let abort_at = master_dies_at_s + detect_s;
-    // The restart is a fresh allocation running the identical schedule.
-    let rerun = clean.clone();
-    let mut busy_intervals: Vec<Vec<(f64, f64)>> = vec![Vec::new(); cores - 1];
-    let mut worker_busy = vec![0.0f64; cores - 1];
-    let mut redispatched = 0u64;
-    // Wasted pre-abort executions: every unit that completed before the
-    // workers noticed the master was gone.
-    for (w, intervals) in clean.busy_intervals.iter().enumerate() {
-        for &(s, e) in intervals.iter().filter(|&&(_, e)| e <= abort_at) {
-            busy_intervals[w].push((s, e));
-            worker_busy[w] += e - s;
-            redispatched += 1;
-        }
-    }
-    // The restart, shifted to begin once the abort is declared.
-    for (w, intervals) in rerun.busy_intervals.iter().enumerate() {
-        for &(s, e) in intervals {
-            busy_intervals[w].push((s + abort_at, e + abort_at));
-        }
-        worker_busy[w] += rerun.worker_busy[w];
-    }
-    let total_search: f64 = worker_busy.iter().sum();
-    SimResult {
-        makespan_s: abort_at + rerun.makespan_s,
-        worker_busy,
-        busy_intervals,
-        cold_loads: rerun.cold_loads,
-        warm_loads: rerun.warm_loads,
-        total_search_s: total_search,
-        redispatched,
-        speculated: 0,
-        cores,
-    }
-}
-
-/// A scheduled straggler episode for
-/// [`simulate_master_worker_speculative`]: the worker freezes for `dur_s`
-/// wall-clock seconds (GC pause, flaky NIC, contended node) but does not
-/// die — work in progress resumes afterwards.
+/// A straggler episode for [`Sim::stalls`]: the worker freezes (GC pause,
+/// flaky NIC, contended node) but does not die.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Stall {
     /// Worker index (0-based over the `cores − 1` workers).
@@ -748,217 +207,391 @@ pub struct Stall {
     pub dur_s: f64,
 }
 
-/// Simulate the master-worker schedule under **stragglers** with optional
-/// speculative re-execution, mirroring the heartbeat/speculation protocol in
-/// `mrmpi::sched`:
-///
-/// * a [`Stall`] freezes its worker: the unit it is executing (or the next
-///   unit it is handed) finishes `dur_s` late;
-/// * the master expects a unit to complete in its known cost; once a unit is
-///   `suspect_after_s` overdue the worker is *suspected*;
-/// * with `speculate` on, a suspected worker's in-flight unit is re-launched
-///   on an idle worker; the **first completion wins**, the duplicate is
-///   discarded (its compute appears in no busy interval, exactly as the
-///   scheduler's commit/discard dedup keeps duplicate emissions out of the
-///   output), and the run does not wait for the loser;
-/// * with `speculate` off, the makespan simply absorbs every stall — the
-///   baseline the `ablation_speculation` bench compares against.
-///
-/// `SimResult::speculated` counts backup launches.
-///
-/// # Panics
-/// Panics if fewer than 2 cores are requested or a stall names a
-/// nonexistent worker.
-pub fn simulate_master_worker_speculative(
-    cluster: &ClusterModel,
-    cores: usize,
-    tasks: &[Task],
-    partition_gb: f64,
-    stalls: &[Stall],
-    suspect_after_s: f64,
-    speculate: bool,
-) -> SimResult {
-    assert!(cores >= 2, "master-worker needs >= 2 cores");
-    let workers = cores - 1;
-    let mut loads = LoadModel::new(cluster, cores, partition_gb);
-    let (mut cold, mut warm) = (0u64, 0u64);
+/// How the run answers the death of its dedicated master.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum MasterLoss {
+    /// In-place failover, as in `mrmpi::sched`. Dispatch stops at the death;
+    /// `detect_s + failover_s` later the lowest live worker becomes master.
+    /// Units finished meanwhile commit, except the new master's own, which
+    /// is re-queued with its in-flight unit. A second election is not modelled.
+    Failover { detect_s: f64, failover_s: f64 },
+    /// The legacy fail-fast answer: abort `detect_s` after the death and
+    /// re-run from scratch with cold caches. Units done before the abort
+    /// count as redispatched; the load counts are the rerun's.
+    AbortRestart { detect_s: f64 },
+}
 
-    // Per-worker stall schedule, earliest first, consumed as units absorb
-    // them.
-    let mut pending_stalls: Vec<std::collections::VecDeque<(f64, f64)>> =
-        vec![std::collections::VecDeque::new(); workers];
-    {
-        let mut sorted: Vec<&Stall> = stalls.iter().collect();
-        sorted.sort_by(|a, b| a.at_s.partial_cmp(&b.at_s).expect("no NaN stall times"));
-        for s in sorted {
-            assert!(s.worker < workers, "stall names worker {} of {workers}", s.worker);
-            pending_stalls[s.worker].push_back((s.at_s, s.dur_s));
+/// The dynamic master-worker schedule: rank 0 is a dedicated master and
+/// the `cores − 1` workers, lowest index first, are handed units in `tasks`
+/// order as they free up. The settings added before [`Sim::run`] compose.
+/// At equal times events apply in the order master death < worker death <
+/// completion < speculation check < promotion < dispatch wake-up: a unit
+/// finishing as the master dies is unarbitrated, and one finishing on its
+/// deadline is never speculated against.
+#[derive(Debug, Clone, Copy)]
+pub struct Sim<'a> {
+    cluster: &'a ClusterModel,
+    cores: usize,
+    partition_gb: f64,
+    affinity: bool,
+    failures: &'a [Failure],
+    detect_s: f64,
+    stalls: &'a [Stall],
+    suspect_after_s: Option<f64>,
+    master: Option<(f64, MasterLoss)>,
+}
+
+impl<'a> Sim<'a> {
+    /// The fault-free schedule on `cores` cores of `cluster`, with DB
+    /// partitions of `partition_gb` GB.
+    pub fn new(cluster: &'a ClusterModel, cores: usize, partition_gb: f64) -> Self {
+        Sim {
+            cluster,
+            cores,
+            partition_gb,
+            affinity: false,
+            failures: &[],
+            detect_s: 0.0,
+            stalls: &[],
+            suspect_after_s: None,
+            master: None,
         }
     }
 
-    // Events: completions, overdue checks, dispatch wakeups. At equal times
-    // completions precede suspicion checks, so a unit finishing exactly on
-    // its deadline is never speculated against.
-    const EV_FREE: u8 = 0;
-    const EV_SPEC: u8 = 1;
-    const EV_WAKE: u8 = 2;
-    let mut events: std::collections::BinaryHeap<std::cmp::Reverse<(OrdF64, u8, usize)>> =
-        std::collections::BinaryHeap::new();
-    events.push(std::cmp::Reverse((OrdF64(0.0), EV_WAKE, 0)));
+    /// The paper's future-work **locality-aware** master: a freed worker
+    /// gets a unit of the partition it holds, else one of the partition
+    /// with most pending units, ties to the first seen (as the runtime).
+    pub fn affinity(self) -> Self {
+        Sim { affinity: true, ..self }
+    }
 
-    let mut pool: std::collections::VecDeque<usize> = (0..tasks.len()).collect();
-    let mut idle: std::collections::BTreeSet<usize> = (0..workers).collect();
-    // (task, start, effective_end) per worker.
-    let mut inflight: Vec<Option<(usize, f64, f64)>> = vec![None; workers];
-    let mut done = vec![false; tasks.len()];
-    let mut backed_up = vec![false; tasks.len()];
-    let mut busy_intervals = vec![Vec::new(); workers];
-    let mut worker_busy = vec![0.0f64; workers];
-    let mut last_worker_cache: Vec<Option<usize>> = vec![None; workers];
-    let mut ndone = 0usize;
-    let mut speculated = 0usize;
-    let mut makespan = 0.0f64;
+    /// Fail-stop worker deaths, as in `mrmpi::sched`: a dying worker loses
+    /// its in-flight unit **and every unit it completed**; the master
+    /// re-dispatches them `detect_s` later. Cut-short compute is not charged.
+    pub fn failures(self, failures: &'a [Failure], detect_s: f64) -> Self {
+        Sim { failures, detect_s, ..self }
+    }
 
-    // Hand `task` to `w` at `now`; returns nothing, queues the completion.
-    // A pending stall overlapping the execution window extends it; the
-    // overdue check fires `suspect_after_s` past the *stall-free* end.
-    let dispatch = |w: usize,
-                        task: usize,
-                        now: f64,
-                        loads: &mut LoadModel,
-                        cold: &mut u64,
-                        warm: &mut u64,
-                        pending_stalls: &mut Vec<std::collections::VecDeque<(f64, f64)>>,
-                        inflight: &mut Vec<Option<(usize, f64, f64)>>,
-                        last_worker_cache: &mut Vec<Option<usize>>,
-                        events: &mut std::collections::BinaryHeap<
-                            std::cmp::Reverse<(OrdF64, u8, usize)>,
-                        >| {
-        let t = now + cluster.dispatch_latency_s;
-        let load = if last_worker_cache[w] == Some(tasks[task].part) {
+    /// Stragglers: the unit a stalled worker is running (or is handed
+    /// next) finishes the stall's duration late.
+    pub fn stalls(self, stalls: &'a [Stall]) -> Self {
+        Sim { stalls, ..self }
+    }
+
+    /// Speculation, as in `mrmpi::sched`: a unit `suspect_after_s` overdue is
+    /// copied once to an idle worker; the first completion wins.
+    pub fn speculate(self, suspect_after_s: f64) -> Self {
+        Sim { suspect_after_s: Some(suspect_after_s), ..self }
+    }
+
+    /// The master dies at `at_s`, answered by `loss`.
+    pub fn master_dies(self, at_s: f64, loss: MasterLoss) -> Self {
+        Sim { master: Some((at_s, loss)), ..self }
+    }
+
+    /// Simulate the schedule over `tasks`. Busy intervals and
+    /// `total_search_s` count every completed execution, re-runs included.
+    ///
+    /// # Panics
+    /// With fewer than 2 cores (3 for [`MasterLoss::Failover`]), if a
+    /// failure or stall names no worker, or if every worker dies early.
+    pub fn run(&self, tasks: &[Task]) -> SimResult {
+        assert!(self.cores >= 2, "master-worker needs >= 2 cores");
+        if let Some((at_s, MasterLoss::AbortRestart { detect_s })) = self.master {
+            return self.abort_restart(tasks, at_s, detect_s);
+        }
+        let workers = self.cores - 1;
+        let mut run = Run {
+            sim: self,
+            tasks,
+            loads: LoadModel::new(self.cluster, self.cores, self.partition_gb),
+            events: BinaryHeap::new(),
+            pool: Pool::new(tasks, self.affinity),
+            workers: vec![Worker { alive: true, ..Worker::default() }; workers],
+            idle: (0..workers).collect(),
+            done: vec![false; tasks.len()],
+            backed_up: vec![false; tasks.len()],
+            frozen: false,
+            ndone: 0,
+            out: SimResult::empty(workers, self.cores),
+        };
+        if let Some((at_s, MasterLoss::Failover { detect_s, failover_s })) = self.master {
+            assert!(self.cores >= 3, "failover needs >= 3 cores: master, successor, one worker");
+            run.schedule(at_s, EV_MDEATH, 0);
+            run.schedule(at_s + detect_s + failover_s, EV_PROMOTE, 0);
+        }
+        for f in self.failures {
+            assert!(f.worker < workers, "failure names worker {} of {workers}", f.worker);
+            run.schedule(f.at_s, EV_DEATH, f.worker);
+        }
+        let mut stalls: Vec<&Stall> = self.stalls.iter().collect();
+        stalls.sort_by(|a, b| a.at_s.partial_cmp(&b.at_s).expect("no NaN stall times"));
+        for s in stalls {
+            assert!(s.worker < workers, "stall names worker {} of {workers}", s.worker);
+            run.workers[s.worker].stalls.push_back((s.at_s, s.dur_s));
+        }
+        run.schedule(0.0, EV_WAKE, 0);
+        while run.ndone < tasks.len() {
+            let Some(Reverse((OrdF64(now), kind, x))) = run.events.pop() else {
+                break; // every worker dead with units remaining
+            };
+            let changed = match kind {
+                EV_MDEATH => {
+                    run.frozen = true;
+                    true
+                }
+                EV_DEATH => run.death(x, now),
+                EV_FREE => run.free(x),
+                EV_SPEC => run.suspect(x, now),
+                EV_PROMOTE => run.promote(now),
+                _ => true, // EV_WAKE: re-queued units became available
+            };
+            // Nobody dispatches between a master death and the promotion.
+            if changed && !run.frozen {
+                run.sweep(now);
+            }
+        }
+        assert_eq!(run.ndone, tasks.len(), "all {workers} workers dead with units unfinished");
+        run.out.finish(&run.loads)
+    }
+
+    /// [`MasterLoss::AbortRestart`]: the clean run up to the abort, then again.
+    fn abort_restart(&self, tasks: &[Task], at_s: f64, detect_s: f64) -> SimResult {
+        let clean = Sim { master: None, ..*self }.run(tasks);
+        if at_s >= clean.makespan_s {
+            return clean;
+        }
+        let abort_at = at_s + detect_s;
+        let mut out = clean.clone();
+        out.makespan_s = abort_at + clean.makespan_s;
+        for (w, intervals) in clean.busy_intervals.iter().enumerate() {
+            let wasted: Vec<_> =
+                intervals.iter().copied().filter(|&(_, e)| e <= abort_at).collect();
+            out.redispatched += wasted.len() as u64;
+            out.worker_busy[w] =
+                wasted.iter().fold(0.0, |acc, &(s, e)| acc + (e - s)) + clean.worker_busy[w];
+            let rerun = intervals.iter().map(|&(s, e)| (s + abort_at, e + abort_at));
+            out.busy_intervals[w] = wasted.into_iter().chain(rerun).collect();
+        }
+        out.total_search_s = out.worker_busy.iter().sum();
+        out
+    }
+}
+
+// Event kinds, in their order at equal times (see [`Sim`]).
+const EV_MDEATH: u8 = 0;
+const EV_DEATH: u8 = 1;
+const EV_FREE: u8 = 2;
+const EV_SPEC: u8 = 3;
+const EV_PROMOTE: u8 = 4;
+const EV_WAKE: u8 = 5;
+
+/// Units awaiting dispatch in sub-pools ordered by (available-from, task
+/// index): one shared sub-pool, or with affinity one per partition,
+/// numbered in first-seen task order.
+struct Pool {
+    slot: Vec<usize>,
+    subs: Vec<BinaryHeap<Reverse<(OrdF64, usize)>>>,
+}
+
+impl Pool {
+    fn new(tasks: &[Task], affinity: bool) -> Self {
+        let mut first_seen = HashMap::new();
+        let mut pool = Pool { slot: Vec::new(), subs: Vec::new() };
+        for (task, t) in tasks.iter().enumerate() {
+            let next = first_seen.len();
+            pool.slot.push(*first_seen.entry(if affinity { t.part } else { 0 }).or_insert(next));
+            pool.subs.resize_with(first_seen.len(), BinaryHeap::new);
+            pool.push(0.0, task);
+        }
+        pool
+    }
+
+    fn push(&mut self, avail: f64, task: usize) {
+        self.subs[self.slot[task]].push(Reverse((OrdF64(avail), task)));
+    }
+
+    /// Take the next unit available at `now` for a worker holding `held`'s
+    /// partition: from its sub-pool if ready, else from the fullest ready.
+    fn pop(&mut self, held: Option<usize>, now: f64) -> Option<usize> {
+        let ready = |s: &usize| self.subs[*s].peek().is_some_and(|Reverse((at, _))| at.0 <= now);
+        let s = held.map(|task| self.slot[task]).filter(ready).or_else(|| {
+            (0..self.subs.len()).filter(ready).max_by_key(|&s| (self.subs[s].len(), Reverse(s)))
+        })?;
+        self.subs[s].pop().map(|Reverse((_, task))| task)
+    }
+}
+
+/// One worker's state during a [`Sim::run`].
+#[derive(Clone, Default)]
+struct Worker {
+    alive: bool,
+    /// (task, start, end) in flight; `end` includes stalls.
+    running: Option<(usize, f64, f64)>,
+    /// Committed units; their output dies with the worker.
+    committed: Vec<usize>,
+    /// A unit finished while the master was down, not yet arbitrated.
+    carried: Option<usize>,
+    /// The unit whose DB partition this worker holds.
+    held: Option<usize>,
+    /// Pending (start, duration) stalls, earliest first.
+    stalls: VecDeque<(f64, f64)>,
+}
+
+/// The state of one [`Sim::run`]. Event handlers return whether the event
+/// changed anything; a stale event triggers no dispatch.
+struct Run<'s, 'a> {
+    sim: &'s Sim<'a>,
+    tasks: &'s [Task],
+    loads: LoadModel<'a>,
+    events: BinaryHeap<Reverse<(OrdF64, u8, usize)>>,
+    pool: Pool,
+    workers: Vec<Worker>,
+    idle: BTreeSet<usize>,
+    done: Vec<bool>,
+    backed_up: Vec<bool>,
+    /// The master is dead and no successor promoted yet.
+    frozen: bool,
+    ndone: usize,
+    out: SimResult,
+}
+
+impl Run<'_, '_> {
+    fn schedule(&mut self, t: f64, kind: u8, x: usize) {
+        self.events.push(Reverse((OrdF64(t), kind, x)));
+    }
+
+    /// Hand available units to idle workers, lowest index first.
+    fn sweep(&mut self, now: f64) {
+        while let Some(&w) = self.idle.first() {
+            let Some(task) = self.pool.pop(self.workers[w].held, now) else { break };
+            if self.done[task] {
+                continue; // a speculative copy already committed it
+            }
+            self.idle.remove(&w);
+            self.dispatch(w, task, now);
+        }
+    }
+
+    /// Hand `task` to `w` at `now`. Stalls starting before the unit ends
+    /// delay it; the overdue check fires past the stall-free end.
+    fn dispatch(&mut self, w: usize, task: usize, now: f64) {
+        let Task { part, cost_s } = self.tasks[task];
+        let worker = &mut self.workers[w];
+        // A worker keeps its DB object "cached between map() invocations on
+        // a given rank"; another partition is (re-)mapped, warm or cold.
+        let load = if worker.held.is_some_and(|h| self.tasks[h].part == part) {
             0.0
         } else {
-            last_worker_cache[w] = Some(tasks[task].part);
-            loads.load(w + 1, tasks[task].part, cold, warm)
+            self.loads.load(part)
         };
-        let start = t + load;
-        let nominal_end = start + tasks[task].cost_s;
+        worker.held = Some(task);
+        let start = now + self.sim.cluster.dispatch_latency_s + load;
+        let nominal_end = start + cost_s;
         let mut end = nominal_end;
-        while let Some(&(at, dur)) = pending_stalls[w].front() {
-            if at < end {
-                end += dur;
-                pending_stalls[w].pop_front();
-            } else {
-                break;
-            }
+        while let Some((_, dur)) = worker.stalls.front().copied().filter(|&(at, _)| at < end) {
+            end += dur;
+            worker.stalls.pop_front();
         }
-        inflight[w] = Some((task, start, end));
-        events.push(std::cmp::Reverse((OrdF64(end), EV_FREE, w)));
-        if speculate {
-            // Overdue check keyed by *unit*, not worker: by the time it
-            // fires the worker may long since be running something else.
-            events.push(std::cmp::Reverse((
-                OrdF64(nominal_end + suspect_after_s),
-                EV_SPEC,
-                task,
-            )));
-        }
-    };
-
-    while ndone < tasks.len() {
-        let std::cmp::Reverse((OrdF64(now), kind, w)) =
-            events.pop().expect("stalled workers always finish eventually");
-        match kind {
-            EV_FREE => {
-                let Some((task, start, end)) = inflight[w].take() else { continue };
-                idle.insert(w);
-                if done[task] {
-                    continue; // lost the race to a speculative copy
-                }
-                done[task] = true;
-                ndone += 1;
-                busy_intervals[w].push((start, end));
-                worker_busy[w] += tasks[task].cost_s;
-                makespan = makespan.max(end);
-            }
-            EV_SPEC => {
-                // `w` is the *unit* here. Speculate only against a unit
-                // that is genuinely overdue — still in flight past its
-                // stall-free deadline plus grace — and back each unit up at
-                // most once (the scheduler's backoff keeps duplicates
-                // bounded the same way). With every worker busy, re-check
-                // one grace period later instead of giving up.
-                let task = w;
-                if done[task] || backed_up[task] {
-                    continue;
-                }
-                let running = inflight
-                    .iter()
-                    .enumerate()
-                    .find(|(_, slot)| matches!(slot, Some((t, _, _)) if *t == task));
-                let Some((primary, &Some((_, _, end)))) = running else { continue };
-                if end <= now + 1e-12 {
-                    continue; // completes momentarily; not worth a copy
-                }
-                let Some(&backup) = idle.iter().find(|&&b| b != primary) else {
-                    events.push(std::cmp::Reverse((
-                        OrdF64(now + suspect_after_s),
-                        EV_SPEC,
-                        task,
-                    )));
-                    continue;
-                };
-                idle.remove(&backup);
-                backed_up[task] = true;
-                speculated += 1;
-                dispatch(
-                    backup,
-                    task,
-                    now,
-                    &mut loads,
-                    &mut cold,
-                    &mut warm,
-                    &mut pending_stalls,
-                    &mut inflight,
-                    &mut last_worker_cache,
-                    &mut events,
-                );
-            }
-            _ => {} // EV_WAKE: fall through to the dispatch sweep
-        }
-        while !pool.is_empty() {
-            let Some(&w) = idle.iter().next() else { break };
-            let task = pool.pop_front().expect("non-empty");
-            if done[task] {
-                continue;
-            }
-            idle.remove(&w);
-            dispatch(
-                w,
-                task,
-                now,
-                &mut loads,
-                &mut cold,
-                &mut warm,
-                &mut pending_stalls,
-                &mut inflight,
-                &mut last_worker_cache,
-                &mut events,
-            );
+        worker.running = Some((task, start, end));
+        self.schedule(end, EV_FREE, w);
+        if let Some(grace) = self.sim.suspect_after_s {
+            self.schedule(nominal_end + grace, EV_SPEC, task);
         }
     }
 
-    let total_search: f64 = worker_busy.iter().sum();
-    SimResult {
-        makespan_s: makespan,
-        worker_busy,
-        busy_intervals,
-        cold_loads: cold,
-        warm_loads: warm,
-        total_search_s: total_search,
-        redispatched: 0,
-        speculated,
-        cores,
+    fn commit(&mut self, w: usize, task: usize, at: f64) {
+        self.done[task] = true;
+        self.workers[w].committed.push(task);
+        self.ndone += 1;
+        self.out.makespan_s = self.out.makespan_s.max(at);
+    }
+
+    /// Re-queue `w`'s in-flight and carried units and `committed` at `avail`.
+    fn requeue(&mut self, w: usize, committed: Vec<usize>, avail: f64) -> usize {
+        let running = self.workers[w].running.take().map(|(task, _, _)| task);
+        let lost: Vec<usize> =
+            running.into_iter().chain(self.workers[w].carried.take()).chain(committed).collect();
+        lost.iter().for_each(|&task| self.pool.push(avail, task));
+        self.out.redispatched += lost.len() as u64;
+        lost.len()
+    }
+
+    fn death(&mut self, w: usize, now: f64) -> bool {
+        if !self.workers[w].alive {
+            return false;
+        }
+        self.workers[w].alive = false;
+        self.idle.remove(&w);
+        let committed = std::mem::take(&mut self.workers[w].committed);
+        committed.iter().for_each(|&task| self.done[task] = false);
+        self.ndone -= committed.len();
+        let avail = now + self.sim.detect_s;
+        if self.requeue(w, committed, avail) > 0 {
+            self.schedule(avail, EV_WAKE, 0);
+        }
+        true
+    }
+
+    fn free(&mut self, w: usize) -> bool {
+        // A death or the promotion took the unit already: nothing to do.
+        let Some((task, start, end)) = self.workers[w].running.take() else { return false };
+        self.idle.insert(w);
+        if !self.done[task] {
+            // else it lost the race to a speculative copy
+            self.out.busy_intervals[w].push((start, end));
+            self.out.worker_busy[w] += self.tasks[task].cost_s;
+            if self.frozen {
+                self.workers[w].carried = Some(task);
+            } else {
+                self.commit(w, task, end);
+            }
+        }
+        true
+    }
+
+    /// Overdue check: copy `task` once if it is still running. With no idle
+    /// worker or no live master, check again one grace period later.
+    fn suspect(&mut self, task: usize, now: f64) -> bool {
+        if self.done[task] || self.backed_up[task] {
+            return false;
+        }
+        let running = |w: &Worker| w.running.filter(|&(t, _, _)| t == task);
+        let Some(primary) = self.workers.iter().position(|w| running(w).is_some()) else {
+            return false;
+        };
+        let (_, _, end) = running(&self.workers[primary]).expect("running");
+        if end <= now + 1e-12 {
+            return false; // completes momentarily; not worth a copy
+        }
+        let backup = self.idle.iter().copied().find(|&b| b != primary).filter(|_| !self.frozen);
+        let Some(backup) = backup else {
+            let grace = self.sim.suspect_after_s.expect("checks run only when speculating");
+            self.schedule(now + grace, EV_SPEC, task);
+            return false;
+        };
+        self.idle.remove(&backup);
+        self.backed_up[task] = true;
+        self.out.speculated += 1;
+        self.dispatch(backup, task, now);
+        true
+    }
+
+    /// The lowest live worker becomes the acting master.
+    fn promote(&mut self, now: f64) -> bool {
+        let Some(p) = self.workers.iter().position(|w| w.alive) else {
+            return false; // all dead; the final assert reports it
+        };
+        self.requeue(p, Vec::new(), now);
+        // Survivors' carried completions commit at first contact.
+        for w in 0..self.workers.len() {
+            if let Some(task) = self.workers[w].carried.take().filter(|&t| !self.done[t]) {
+                self.commit(w, task, now);
+            }
+        }
+        self.idle.remove(&p);
+        self.frozen = false;
+        true
     }
 }
 
@@ -971,11 +604,8 @@ pub fn simulate_static(
     schedule: Schedule,
 ) -> SimResult {
     assert!(cores >= 1);
-    assert!(schedule != Schedule::MasterWorker, "use simulate_master_worker");
     let mut loads = LoadModel::new(cluster, cores, partition_gb);
-    let (mut cold, mut warm) = (0u64, 0u64);
-    let mut busy_intervals = vec![Vec::new(); cores];
-    let mut worker_busy = vec![0.0f64; cores];
+    let mut out = SimResult::empty(cores, cores);
     let mut clock = vec![0.0f64; cores];
     let mut last_part: Vec<Option<usize>> = vec![None; cores];
 
@@ -983,34 +613,21 @@ pub fn simulate_static(
         let w = match schedule {
             Schedule::RoundRobin => i % cores,
             Schedule::Chunk => i * cores / tasks.len().max(1),
-            Schedule::MasterWorker => unreachable!(),
         };
         let load = if last_part[w] == Some(task.part) {
             0.0
         } else {
             last_part[w] = Some(task.part);
-            loads.load(w, task.part, &mut cold, &mut warm)
+            loads.load(task.part)
         };
         let start = clock[w] + load;
         let end = start + task.cost_s;
-        busy_intervals[w].push((start, end));
-        worker_busy[w] += task.cost_s;
+        out.busy_intervals[w].push((start, end));
+        out.worker_busy[w] += task.cost_s;
         clock[w] = end;
     }
-
-    let makespan = clock.iter().copied().fold(0.0, f64::max);
-    let total_search: f64 = worker_busy.iter().sum();
-    SimResult {
-        makespan_s: makespan,
-        worker_busy,
-        busy_intervals,
-        cold_loads: cold,
-        warm_loads: warm,
-        total_search_s: total_search,
-        redispatched: 0,
-        speculated: 0,
-        cores,
-    }
+    out.makespan_s = clock.iter().copied().fold(0.0, f64::max);
+    out.finish(&loads)
 }
 
 /// Total-orderable f64 for the event heap (costs are never NaN).
@@ -1052,14 +669,14 @@ mod tests {
     fn uniform_tasks_give_ceil_distribution() {
         // 10 tasks, 3 cores (2 workers), unit cost, zero overheads:
         // makespan = ceil(10/2) = 5.
-        let r = simulate_master_worker(&cheap_cluster(), 3, &uniform_tasks(10, 1.0), 0.0);
+        let r = Sim::new(&cheap_cluster(), 3, 0.0).run(&uniform_tasks(10, 1.0));
         assert!((r.makespan_s - 5.0).abs() < 1e-9, "makespan {}", r.makespan_s);
         assert_eq!(r.total_search_s, 10.0);
     }
 
     #[test]
     fn single_worker_serializes() {
-        let r = simulate_master_worker(&cheap_cluster(), 2, &uniform_tasks(7, 2.0), 0.0);
+        let r = Sim::new(&cheap_cluster(), 2, 0.0).run(&uniform_tasks(7, 2.0));
         assert!((r.makespan_s - 14.0).abs() < 1e-9);
     }
 
@@ -1069,7 +686,7 @@ mod tests {
         let mut tasks = vec![Task { part: 0, cost_s: 50.0 }];
         tasks.extend((0..40).map(|i| Task { part: i % 4, cost_s: 1.0 }));
         let cluster = cheap_cluster();
-        let dynamic = simulate_master_worker(&cluster, 5, &tasks, 0.0);
+        let dynamic = Sim::new(&cluster, 5, 0.0).run(&tasks);
         let static_rr = simulate_static(&cluster, 5, &tasks, 0.0, Schedule::RoundRobin);
         assert!(
             dynamic.makespan_s < static_rr.makespan_s,
@@ -1085,7 +702,7 @@ mod tests {
     #[test]
     fn tail_idling_appears_when_tasks_scarce() {
         // 5 equal tasks on 4 workers: one worker runs 2 → utilization 5/8.
-        let r = simulate_master_worker(&cheap_cluster(), 5, &uniform_tasks(5, 1.0), 0.0);
+        let r = Sim::new(&cheap_cluster(), 5, 0.0).run(&uniform_tasks(5, 1.0));
         assert!((r.makespan_s - 2.0).abs() < 1e-9);
         let util = r.total_search_s / (r.makespan_s * 4.0); // worker cores
         assert!((util - 5.0 / 8.0).abs() < 1e-9);
@@ -1103,7 +720,7 @@ mod tests {
         // cache holds both → first two cold, rest warm.
         let tasks: Vec<Task> =
             (0..6).map(|i| Task { part: i % 2, cost_s: 1.0 }).collect();
-        let r = simulate_master_worker(&cluster, 2, &tasks, 1.0);
+        let r = Sim::new(&cluster, 2, 1.0).run(&tasks);
         assert_eq!(r.cold_loads, 2);
         assert_eq!(r.warm_loads, 4);
         // makespan = 2 cold (10s) + 4 warm (1s) + 6 × 1s search.
@@ -1118,7 +735,7 @@ mod tests {
             ..ClusterModel::ranger()
         };
         let tasks = vec![Task { part: 3, cost_s: 1.0 }; 5];
-        let r = simulate_master_worker(&cluster, 2, &tasks, 1.0);
+        let r = Sim::new(&cluster, 2, 1.0).run(&tasks);
         assert_eq!(r.cold_loads, 1, "partition loaded once, then rank-cached");
         assert!((r.makespan_s - 15.0).abs() < 1e-9);
     }
@@ -1133,7 +750,7 @@ mod tests {
             ..ClusterModel::ranger()
         };
         let tasks: Vec<Task> = (0..6).map(|i| Task { part: i % 2, cost_s: 1.0 }).collect();
-        let r = simulate_master_worker(&cluster, 2, &tasks, 1.0);
+        let r = Sim::new(&cluster, 2, 1.0).run(&tasks);
         assert_eq!(r.cold_loads, 6, "alternating partitions must thrash a 1-slot cache");
     }
 
@@ -1142,7 +759,7 @@ mod tests {
         // Few long tasks at the end starve most workers.
         let mut tasks = uniform_tasks(40, 1.0);
         tasks.push(Task { part: 0, cost_s: 10.0 });
-        let r = simulate_master_worker(&cheap_cluster(), 9, &tasks, 0.0);
+        let r = Sim::new(&cheap_cluster(), 9, 0.0).run(&tasks);
         let curve = r.utilization_curve(10);
         assert!(curve[0] > 0.8, "start busy: {curve:?}");
         assert!(curve[9] < 0.4, "tail idle: {curve:?}");
@@ -1159,8 +776,8 @@ mod tests {
         // 8 partitions × 16 unit tasks, interleaved (block-major) order.
         let tasks: Vec<Task> =
             (0..128).map(|i| Task { part: i % 8, cost_s: 1.0 }).collect();
-        let plain = simulate_master_worker(&cluster, 5, &tasks, 1.0);
-        let affine = simulate_master_worker_affinity(&cluster, 5, &tasks, 1.0);
+        let plain = Sim::new(&cluster, 5, 1.0).run(&tasks);
+        let affine = Sim::new(&cluster, 5, 1.0).affinity().run(&tasks);
         assert_eq!(plain.total_search_s, affine.total_search_s);
         // With affinity, each of 4 workers should touch ~2 partitions; the
         // plain dispatcher reloads nearly every task.
@@ -1184,7 +801,7 @@ mod tests {
         let cluster = cheap_cluster();
         let mut tasks = vec![Task { part: 0, cost_s: 30.0 }];
         tasks.extend((0..40).map(|i| Task { part: 1 + i % 3, cost_s: 1.0 }));
-        let r = simulate_master_worker_affinity(&cluster, 5, &tasks, 0.0);
+        let r = Sim::new(&cluster, 5, 0.0).affinity().run(&tasks);
         let lower = 30.0f64.max(70.0 / 4.0);
         assert!(r.makespan_s <= lower * 1.35, "affinity makespan {}", r.makespan_s);
         assert_eq!(r.total_search_s, 70.0);
@@ -1210,8 +827,8 @@ mod tests {
         };
         let mut tasks = vec![Task { part: 0, cost_s: 9.0 }];
         tasks.extend((0..30).map(|i| Task { part: i % 4, cost_s: 1.0 + (i % 3) as f64 }));
-        let plain = simulate_master_worker(&cluster, 5, &tasks, 1.0);
-        let faulty = simulate_master_worker_faulty(&cluster, 5, &tasks, 1.0, &[], 0.5);
+        let plain = Sim::new(&cluster, 5, 1.0).run(&tasks);
+        let faulty = Sim::new(&cluster, 5, 1.0).failures(&[], 0.5).run(&tasks);
         assert!((plain.makespan_s - faulty.makespan_s).abs() < 1e-9);
         assert_eq!(plain.cold_loads, faulty.cold_loads);
         assert_eq!(plain.warm_loads, faulty.warm_loads);
@@ -1223,14 +840,8 @@ mod tests {
         // 12 unit tasks, 4 cores (3 workers), one dead at t=0: the closed
         // form is ceil(12/2) = 6 on the two survivors.
         let fails = [Failure { worker: 1, at_s: 0.0 }];
-        let r = simulate_master_worker_faulty(
-            &cheap_cluster(),
-            4,
-            &uniform_tasks(12, 1.0),
-            0.0,
-            &fails,
-            0.25,
-        );
+        let r =
+            Sim::new(&cheap_cluster(), 4, 0.0).failures(&fails, 0.25).run(&uniform_tasks(12, 1.0));
         assert!((r.makespan_s - 6.0).abs() < 1e-9, "makespan {}", r.makespan_s);
         assert_eq!(r.redispatched, 0, "a worker that never got a unit loses none");
     }
@@ -1240,14 +851,8 @@ mod tests {
         // 3 workers, 12 unit tasks. Worker 0 dies at t=2.5: it has finished
         // units at t=1 and t=2 and is mid-unit — all 3 must be redone.
         let fails = [Failure { worker: 0, at_s: 2.5 }];
-        let r = simulate_master_worker_faulty(
-            &cheap_cluster(),
-            4,
-            &uniform_tasks(12, 1.0),
-            0.0,
-            &fails,
-            0.0,
-        );
+        let r =
+            Sim::new(&cheap_cluster(), 4, 0.0).failures(&fails, 0.0).run(&uniform_tasks(12, 1.0));
         assert_eq!(r.redispatched, 3);
         // 12 final + 2 re-runs of completed units = 14 completed executions
         // (the killed in-flight unit's first attempt never finished).
@@ -1264,7 +869,7 @@ mod tests {
         // takes 2s, then worker 1 reruns the 3s unit: makespan = 1+2+3.
         let tasks = vec![Task { part: 0, cost_s: 3.0 }];
         let fails = [Failure { worker: 0, at_s: 1.0 }];
-        let r = simulate_master_worker_faulty(&cheap_cluster(), 3, &tasks, 0.0, &fails, 2.0);
+        let r = Sim::new(&cheap_cluster(), 3, 0.0).failures(&fails, 2.0).run(&tasks);
         assert!((r.makespan_s - 6.0).abs() < 1e-9, "makespan {}", r.makespan_s);
         assert_eq!(r.redispatched, 1);
     }
@@ -1272,14 +877,8 @@ mod tests {
     #[test]
     fn death_after_completion_changes_nothing() {
         let fails = [Failure { worker: 0, at_s: 1e6 }];
-        let r = simulate_master_worker_faulty(
-            &cheap_cluster(),
-            3,
-            &uniform_tasks(10, 1.0),
-            0.0,
-            &fails,
-            0.5,
-        );
+        let r =
+            Sim::new(&cheap_cluster(), 3, 0.0).failures(&fails, 0.5).run(&uniform_tasks(10, 1.0));
         assert!((r.makespan_s - 5.0).abs() < 1e-9);
         assert_eq!(r.redispatched, 0);
     }
@@ -1288,14 +887,7 @@ mod tests {
     #[should_panic(expected = "workers dead")]
     fn all_workers_dead_panics_with_units_unfinished() {
         let fails = [Failure { worker: 0, at_s: 0.0 }, Failure { worker: 1, at_s: 0.0 }];
-        simulate_master_worker_faulty(
-            &cheap_cluster(),
-            3,
-            &uniform_tasks(4, 1.0),
-            0.0,
-            &fails,
-            0.1,
-        );
+        Sim::new(&cheap_cluster(), 3, 0.0).failures(&fails, 0.1).run(&uniform_tasks(4, 1.0));
     }
 
     #[test]
@@ -1308,11 +900,10 @@ mod tests {
         };
         let mut tasks = vec![Task { part: 0, cost_s: 9.0 }];
         tasks.extend((0..30).map(|i| Task { part: i % 4, cost_s: 1.0 + (i % 3) as f64 }));
-        let plain = simulate_master_worker(&cluster, 5, &tasks, 1.0);
+        let plain = Sim::new(&cluster, 5, 1.0).run(&tasks);
         for speculate in [false, true] {
-            let spec = simulate_master_worker_speculative(
-                &cluster, 5, &tasks, 1.0, &[], 0.5, speculate,
-            );
+            let sim = Sim::new(&cluster, 5, 1.0).stalls(&[]);
+            let spec = if speculate { sim.speculate(0.5) } else { sim }.run(&tasks);
             assert!(
                 (plain.makespan_s - spec.makespan_s).abs() < 1e-9,
                 "speculate={speculate}: {} vs {}",
@@ -1328,15 +919,7 @@ mod tests {
         // 8 unit tasks on 2 workers; worker 0 freezes 10s inside its first
         // unit: without speculation the makespan pays the entire stall.
         let stalls = [Stall { worker: 0, at_s: 0.5, dur_s: 10.0 }];
-        let r = simulate_master_worker_speculative(
-            &cheap_cluster(),
-            3,
-            &uniform_tasks(8, 1.0),
-            0.0,
-            &stalls,
-            0.5,
-            false,
-        );
+        let r = Sim::new(&cheap_cluster(), 3, 0.0).stalls(&stalls).run(&uniform_tasks(8, 1.0));
         // Worker 1 clears the other 7 units by t=7; worker 0's unit lands at
         // t=11 and dominates.
         assert!((r.makespan_s - 11.0).abs() < 1e-9, "makespan {}", r.makespan_s);
@@ -1346,15 +929,10 @@ mod tests {
     #[test]
     fn speculation_hides_the_stall_and_first_result_wins() {
         let stalls = [Stall { worker: 0, at_s: 0.5, dur_s: 10.0 }];
-        let r = simulate_master_worker_speculative(
-            &cheap_cluster(),
-            3,
-            &uniform_tasks(8, 1.0),
-            0.0,
-            &stalls,
-            0.5,
-            true,
-        );
+        let r = Sim::new(&cheap_cluster(), 3, 0.0)
+            .stalls(&stalls)
+            .speculate(0.5)
+            .run(&uniform_tasks(8, 1.0));
         // Worker 1 finishes the other 7 by t=7; the stuck unit is declared
         // overdue at t=1.5 and its backup runs on worker 1 as soon as it
         // idles — the run never waits for the frozen worker.
@@ -1371,15 +949,10 @@ mod tests {
         // backup (launched at suspicion) can finish; output conservation
         // still holds — the unit counts once.
         let stalls = [Stall { worker: 0, at_s: 0.2, dur_s: 1.2 }];
-        let r = simulate_master_worker_speculative(
-            &cheap_cluster(),
-            3,
-            &uniform_tasks(2, 1.0),
-            0.0,
-            &stalls,
-            0.1,
-            true,
-        );
+        let r = Sim::new(&cheap_cluster(), 3, 0.0)
+            .stalls(&stalls)
+            .speculate(0.1)
+            .run(&uniform_tasks(2, 1.0));
         assert!((r.total_search_s - 2.0).abs() < 1e-9, "search {}", r.total_search_s);
         assert!(r.makespan_s <= 2.2 + 1e-9, "makespan {}", r.makespan_s);
     }
@@ -1390,14 +963,10 @@ mod tests {
         // speculation the fleet's makespan is within noise of fault-free.
         let cluster = cheap_cluster();
         let tasks = uniform_tasks(4096, 30.0);
-        let clean = simulate_master_worker(&cluster, 1024, &tasks, 0.0);
+        let clean = Sim::new(&cluster, 1024, 0.0).run(&tasks);
         let stalls = [Stall { worker: 17, at_s: 10.0, dur_s: 3600.0 }];
-        let stalled = simulate_master_worker_speculative(
-            &cluster, 1024, &tasks, 0.0, &stalls, 15.0, false,
-        );
-        let spec = simulate_master_worker_speculative(
-            &cluster, 1024, &tasks, 0.0, &stalls, 15.0, true,
-        );
+        let stalled = Sim::new(&cluster, 1024, 0.0).stalls(&stalls).run(&tasks);
+        let spec = Sim::new(&cluster, 1024, 0.0).stalls(&stalls).speculate(15.0).run(&tasks);
         assert!(stalled.makespan_s > clean.makespan_s + 3000.0, "{}", stalled.makespan_s);
         assert!(
             spec.makespan_s < clean.makespan_s + 120.0,
@@ -1418,8 +987,10 @@ mod tests {
         };
         let mut tasks = vec![Task { part: 0, cost_s: 9.0 }];
         tasks.extend((0..30).map(|i| Task { part: i % 4, cost_s: 1.0 + (i % 3) as f64 }));
-        let plain = simulate_master_worker(&cluster, 5, &tasks, 1.0);
-        let fo = simulate_master_worker_failover(&cluster, 5, &tasks, 1.0, 1e6, 0.5, 0.5, &[]);
+        let plain = Sim::new(&cluster, 5, 1.0).run(&tasks);
+        let fo = Sim::new(&cluster, 5, 1.0)
+            .master_dies(1e6, MasterLoss::Failover { detect_s: 0.5, failover_s: 0.5 })
+            .run(&tasks);
         assert!((plain.makespan_s - fo.makespan_s).abs() < 1e-9);
         assert_eq!(plain.cold_loads, fo.cold_loads);
         assert_eq!(plain.warm_loads, fo.warm_loads);
@@ -1434,16 +1005,9 @@ mod tests {
         // carried unit commits then, worker 0 is promoted and its carried
         // unit is discarded. The single remaining worker clears units 6, 7
         // and the re-run at t=5, 6, 7.
-        let r = simulate_master_worker_failover(
-            &cheap_cluster(),
-            3,
-            &uniform_tasks(8, 1.0),
-            0.0,
-            2.5,
-            1.0,
-            0.5,
-            &[],
-        );
+        let r = Sim::new(&cheap_cluster(), 3, 0.0)
+            .master_dies(2.5, MasterLoss::Failover { detect_s: 1.0, failover_s: 0.5 })
+            .run(&uniform_tasks(8, 1.0));
         assert!((r.makespan_s - 7.0).abs() < 1e-9, "makespan {}", r.makespan_s);
         assert_eq!(r.redispatched, 1, "exactly the promoted worker's carried unit");
         // 8 final + 1 discarded execution all really ran.
@@ -1457,16 +1021,9 @@ mod tests {
         // 2 is re-queued (its partial compute uncharged); worker 1 finishes
         // unit 3 at t=4 and then serially clears units 4, 5 and the re-run:
         // makespan 4 + 3 × 2 = 10.
-        let r = simulate_master_worker_failover(
-            &cheap_cluster(),
-            3,
-            &uniform_tasks(6, 2.0),
-            0.0,
-            2.5,
-            1.0,
-            0.4,
-            &[],
-        );
+        let r = Sim::new(&cheap_cluster(), 3, 0.0)
+            .master_dies(2.5, MasterLoss::Failover { detect_s: 1.0, failover_s: 0.4 })
+            .run(&uniform_tasks(6, 2.0));
         assert!((r.makespan_s - 10.0).abs() < 1e-9, "makespan {}", r.makespan_s);
         assert_eq!(r.redispatched, 1);
         assert!((r.total_search_s - 12.0).abs() < 1e-9, "search {}", r.total_search_s);
@@ -1477,16 +1034,10 @@ mod tests {
         // Worker 2 dies mid-run, then the master dies: both recoveries land
         // in one run and every unit still completes exactly once.
         let fails = [Failure { worker: 2, at_s: 1.5 }];
-        let r = simulate_master_worker_failover(
-            &cheap_cluster(),
-            4,
-            &uniform_tasks(12, 1.0),
-            0.0,
-            2.5,
-            0.5,
-            0.5,
-            &fails,
-        );
+        let r = Sim::new(&cheap_cluster(), 4, 0.0)
+            .failures(&fails, 0.5)
+            .master_dies(2.5, MasterLoss::Failover { detect_s: 0.5, failover_s: 0.5 })
+            .run(&uniform_tasks(12, 1.0));
         // Worker 2 loses its completed unit and its in-flight unit; the
         // promoted worker discards one more.
         assert_eq!(r.redispatched, 3, "redispatched {}", r.redispatched);
@@ -1499,13 +1050,17 @@ mod tests {
         // 2 workers, 20 unit tasks → clean makespan 10. Master dies at t=8.
         let tasks = uniform_tasks(20, 1.0);
         let cluster = cheap_cluster();
-        let abort = simulate_master_worker_abort_restart(&cluster, 3, &tasks, 0.0, 8.0, 1.0);
+        let abort = Sim::new(&cluster, 3, 0.0)
+            .master_dies(8.0, MasterLoss::AbortRestart { detect_s: 1.0 })
+            .run(&tasks);
         // Abort declared at t=9; full rerun appended: 9 + 10.
         assert!((abort.makespan_s - 19.0).abs() < 1e-9, "abort {}", abort.makespan_s);
         // 18 units had completed by t=9 (9 per worker) and are thrown away.
         assert_eq!(abort.redispatched, 18);
         assert!((abort.total_search_s - 38.0).abs() < 1e-9, "search {}", abort.total_search_s);
-        let fo = simulate_master_worker_failover(&cluster, 3, &tasks, 0.0, 8.0, 1.0, 0.5, &[]);
+        let fo = Sim::new(&cluster, 3, 0.0)
+            .master_dies(8.0, MasterLoss::Failover { detect_s: 1.0, failover_s: 0.5 })
+            .run(&tasks);
         assert!(
             fo.makespan_s < abort.makespan_s - 1e-9,
             "failover {} must beat abort-restart {}",
@@ -1517,18 +1072,79 @@ mod tests {
     #[test]
     fn abort_restart_with_late_death_matches_plain() {
         let tasks = uniform_tasks(10, 1.0);
-        let plain = simulate_master_worker(&cheap_cluster(), 3, &tasks, 0.0);
-        let r = simulate_master_worker_abort_restart(&cheap_cluster(), 3, &tasks, 0.0, 1e6, 1.0);
+        let plain = Sim::new(&cheap_cluster(), 3, 0.0).run(&tasks);
+        let r = Sim::new(&cheap_cluster(), 3, 0.0)
+            .master_dies(1e6, MasterLoss::AbortRestart { detect_s: 1.0 })
+            .run(&tasks);
         assert!((r.makespan_s - plain.makespan_s).abs() < 1e-9);
         assert_eq!(r.redispatched, 0);
     }
 
     #[test]
     fn core_seconds_and_mean_utilization() {
-        let r = simulate_master_worker(&cheap_cluster(), 3, &uniform_tasks(4, 1.0), 0.0);
+        let r = Sim::new(&cheap_cluster(), 3, 0.0).run(&uniform_tasks(4, 1.0));
         assert!((r.makespan_s - 2.0).abs() < 1e-9);
         assert!((r.core_seconds() - 6.0).abs() < 1e-9);
         // 4 search-seconds over 6 core-seconds (master idles by design).
         assert!((r.mean_utilization() - 4.0 / 6.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_stale_completion_dispatches_nothing() {
+        // Worker 0 dies at t=1 mid-unit; detection re-queues its unit at
+        // t=2, the instant its preempted completion would have fired. That
+        // stale event must not dispatch: the unit goes to the lowest worker
+        // idle at t=2 (worker 1, freed then), not to worker 2.
+        let tasks = [2.0, 2.0, 1.0].map(|cost_s| Task { part: 0, cost_s });
+        let deaths = [Failure { worker: 0, at_s: 1.0 }];
+        let r = Sim::new(&cheap_cluster(), 4, 0.0).failures(&deaths, 1.0).run(&tasks);
+        assert_eq!(r.busy_intervals[1], vec![(0.0, 2.0), (2.0, 4.0)]);
+        assert_eq!(r.busy_intervals[2], vec![(0.0, 1.0)]);
+        assert_eq!(r.redispatched, 1);
+    }
+
+    #[test]
+    fn affinity_with_a_worker_death_and_a_speculated_stall_commits_every_unit_once() {
+        // The combination the runtime's locality-aware master already runs:
+        // 8 workers, 96 units over 6 partitions, worker 3 dies at t=7.25
+        // and worker 5 freezes for 500 s, with speculation on.
+        let cluster = ClusterModel {
+            cold_load_s_per_gb: 2.0,
+            warm_load_s_per_gb: 0.5,
+            dispatch_latency_s: 0.01,
+            ..ClusterModel::ranger()
+        };
+        let tasks: Vec<Task> =
+            (0..96).map(|i| Task { part: i % 6, cost_s: (1 + i % 5) as f64 }).collect();
+        let (dead, survivors) = (3, 7);
+        let deaths = [Failure { worker: dead, at_s: 7.25 }];
+        let stalls = [Stall { worker: 5, at_s: 2.0, dur_s: 500.0 }];
+        let r = Sim::new(&cluster, 9, 1.0)
+            .affinity()
+            .failures(&deaths, 0.5)
+            .stalls(&stalls)
+            .speculate(3.0)
+            .run(&tasks);
+
+        // Survivors commit every unit exactly once: one busy interval per
+        // unit, and their search seconds add up to the total cost.
+        let total: f64 = tasks.iter().map(|t| t.cost_s).sum();
+        let alive = |w: &usize| *w != dead;
+        let committed: usize = (0..8).filter(alive).map(|w| r.busy_intervals[w].len()).sum();
+        let committed_s: f64 = (0..8).filter(alive).map(|w| r.worker_busy[w]).sum();
+        assert_eq!(committed, tasks.len());
+        assert_eq!(committed_s, total);
+        // The dead worker's completions were charged, then redone.
+        assert_eq!(r.total_search_s, total + r.worker_busy[dead]);
+        // At t=7.25 most units are still pending, so the dead worker was
+        // mid-unit: it loses that unit plus every unit it completed.
+        assert_eq!(r.redispatched, r.busy_intervals[dead].len() as u64 + 1);
+        assert!(r.busy_intervals[dead].iter().all(|&(_, e)| e <= 7.25));
+
+        let longest = tasks.iter().map(|t| t.cost_s).fold(0.0, f64::max);
+        assert!(r.makespan_s >= longest.max(total / survivors as f64), "{}", r.makespan_s);
+        // The frozen unit was backed up, so the run did not wait 500 s.
+        assert!(r.speculated >= 1);
+        assert!(r.makespan_s < 500.0, "makespan {}", r.makespan_s);
     }
 }

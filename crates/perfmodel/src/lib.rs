@@ -18,11 +18,12 @@
 //!
 //! This crate models exactly those mechanisms: a [`cluster`] description
 //! (nodes, cores, RAM, interconnect, filesystem), a deterministic
-//! discrete-event simulator of the master-worker and static schedules
-//! ([`des`]), per-node partition RAM caching, a skewed work-unit cost
-//! model ([`blastsim`]) whose constants are calibrated against real runs of
-//! our engine ([`calibrate`]), and a BSP model of the batch SOM epoch
-//! ([`somsim`]).
+//! discrete-event simulator ([`des`]) — one event loop, [`Sim`], for the
+//! master-worker schedule with its locality, fault, straggler and failover
+//! settings, plus [`simulate_static`] for static schedules — per-node
+//! partition RAM caching, a skewed work-unit cost model ([`blastsim`])
+//! whose constants are calibrated against real runs of our engine
+//! ([`calibrate`]), and a BSP model of the batch SOM epoch ([`somsim`]).
 //!
 //! Absolute times are *not* expected to match the 2011 hardware; the curves'
 //! shape — who wins, where the crossovers and the superlinear bump fall —
@@ -37,6 +38,20 @@
 //! assert!(run.makespan_s > 0.0);
 //! assert_eq!(scenario.n_tasks(), 8720); // the paper's work-unit count
 //! ```
+//!
+//! The settings of a [`Sim`] compose — here the locality-aware master
+//! loses a worker mid-run and re-dispatches its units:
+//!
+//! ```
+//! use perfmodel::des::{Failure, Task};
+//! use perfmodel::{ClusterModel, Sim};
+//!
+//! let tasks: Vec<Task> = (0..64).map(|i| Task { part: i % 8, cost_s: 1.0 }).collect();
+//! let deaths = [Failure { worker: 2, at_s: 3.5 }];
+//! let cluster = ClusterModel::ranger();
+//! let r = Sim::new(&cluster, 9, 1.0).affinity().failures(&deaths, 0.5).run(&tasks);
+//! assert!(r.redispatched > 0);
+//! ```
 
 pub mod blastsim;
 pub mod calibrate;
@@ -46,9 +61,5 @@ pub mod somsim;
 
 pub use blastsim::{BlastScenario, WorkUnitCosts};
 pub use cluster::ClusterModel;
-pub use des::{
-    simulate_master_worker, simulate_master_worker_abort_restart, simulate_master_worker_affinity,
-    simulate_master_worker_failover, simulate_master_worker_faulty,
-    simulate_master_worker_speculative, simulate_static, Failure, Schedule, SimResult, Stall,
-};
+pub use des::{simulate_static, Failure, MasterLoss, Schedule, Sim, SimResult, Stall};
 pub use somsim::SomScenario;

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 pre-merge gate: release build, workspace-wide clippy, the full
-# default test suite, every crate's own tests, and the fault-injection smoke
-# tests run explicitly by name so a filter or harness change can never
-# silently drop them.
+# Tier-1 pre-merge gate: release build, workspace-wide clippy, every
+# package's tests in one workspace run, and the fault-injection smoke tests
+# run explicitly by name so a filter or harness change can never silently
+# drop them.
 #
 # Every step runs even when an earlier one fails, so one red step cannot
 # hide the state of the rest; the failed steps are listed at the end and
@@ -29,23 +29,8 @@ step "cargo build --release" \
 step "cargo clippy --workspace --all-targets -- -D warnings" \
   cargo clippy --workspace --all-targets -- -D warnings
 
-step "cargo test -q (root package: integration + property tests)" \
-  cargo test -q
-
-step "cargo test -q -p blast (engine unit tests, DP-kernel and seed-table references)" \
-  cargo test -q -p blast
-
-step "cargo test -q -p som (SOM unit tests, blocked-kernel references)" \
-  cargo test -q -p som
-
-step "cargo test -q -p mrbio --lib (BLAST/SOM driver unit tests: cache counters, locality, restart)" \
-  cargo test -q -p mrbio --lib
-
-step "cargo test -q -p mrmpi (MapReduce engine and the fault-tolerant scheduler)" \
-  cargo test -q -p mrmpi
-
-step "cargo test -q -p mpisim -p obs -p perfmodel -p bioseq (simulated MPI, tracing, performance model, sequence I/O)" \
-  cargo test -q -p mpisim -p obs -p perfmodel -p bioseq
+step "cargo test -q --workspace --no-fail-fast (every package's unit, integration, property and doc tests)" \
+  cargo test -q --workspace --no-fail-fast
 
 step "cargo test -q -p mrbio --test cli (the shipped CLIs as subprocesses)" \
   cargo test -q -p mrbio --test cli

@@ -8,7 +8,7 @@ use bioseq::gen::{self, WorkloadConfig};
 use bioseq::shred::query_blocks;
 use mpisim::World;
 use mrbio::{run_mrblast, MrBlastConfig};
-use perfmodel::des::{simulate_master_worker, simulate_master_worker_faulty, Failure, Task};
+use perfmodel::des::{Failure, Sim, Task};
 use perfmodel::{ClusterModel, SomScenario};
 use std::sync::Arc;
 
@@ -55,7 +55,7 @@ fn des_makespan_matches_real_master_worker_run() {
         .collect();
     assert_eq!(tasks.len() as u64, reports.iter().map(|r| r.map_calls).sum::<u64>());
 
-    let sim = simulate_master_worker(&free_cluster(), ranks, &tasks, 0.0);
+    let sim = Sim::new(&free_cluster(), ranks, 0.0).run(&tasks);
     // Both the real scheduler and the DES produce work-conserving schedules
     // of the same task multiset, but they dispatch in different orders, so
     // the deterministic guarantee is Graham's list-scheduling bound: both
@@ -88,7 +88,7 @@ fn des_is_work_conserving_and_balanced() {
     // makespan exactly: ceil(n/workers) × cost.
     let tasks: Vec<Task> = (0..100).map(|i| Task { part: i % 7, cost_s: 2.0 }).collect();
     for cores in [2usize, 5, 11, 101] {
-        let r = simulate_master_worker(&free_cluster(), cores, &tasks, 0.0);
+        let r = Sim::new(&free_cluster(), cores, 0.0).run(&tasks);
         let workers = cores - 1;
         let ideal = (100usize.div_ceil(workers)) as f64 * 2.0;
         assert!(
@@ -222,7 +222,7 @@ fn faulty_des_matches_reduced_worker_closed_form() {
     for (cores, n, c) in [(4usize, 12usize, 1.0f64), (6, 23, 2.0), (9, 40, 0.5)] {
         let tasks: Vec<Task> = (0..n).map(|i| Task { part: i % 3, cost_s: c }).collect();
         let fails = [Failure { worker: 0, at_s: 0.0 }];
-        let r = simulate_master_worker_faulty(&cluster, cores, &tasks, 0.0, &fails, 0.25);
+        let r = Sim::new(&cluster, cores, 0.0).failures(&fails, 0.25).run(&tasks);
         let survivors = cores - 2;
         let expect = n.div_ceil(survivors) as f64 * c;
         assert!(
